@@ -9,6 +9,7 @@ backtracking.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -53,12 +54,17 @@ class BaselineConfig:
     bfgs: BfgsOptions = field(default_factory=BfgsOptions)
 
     def __post_init__(self):
+        for name in ("alpha", "mu", "barrier_weight", "tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if not self.mu > 0:
             raise ValueError("mu must be positive")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
+        if self.snapshot_stride < 1:
+            raise ValueError("snapshot_stride must be at least 1")
 
 
 def _solver_config(config: BaselineConfig) -> SolverConfig:
@@ -116,7 +122,7 @@ def bfgs_penalty(
     m, g, hsq, c = _merit_and_gradient(nlp, x, mu, beta)
     rec = {k: [] for k in ("cost", "hsq", "energy", "sigma")}
     snaps, snap_iters = [], []
-    stride = max(1, config.snapshot_stride)
+    stride = config.snapshot_stride
     success, message = True, "ok"
     first_update = True
 

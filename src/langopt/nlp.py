@@ -208,10 +208,6 @@ class NlpProblem:
     def cost_gradient(self, x):
         return self.cost_and_gradient(x)[1]
 
-    def jac_t_product(self, x, w):
-        _, vjp = self.constraints_with_vjp(x)
-        return vjp(w)
-
     def jacobian(self, x):
         return self.jacobian_fn(x)
 
@@ -219,6 +215,19 @@ class NlpProblem:
         """Squared 2-norm of the constraint residual."""
         h = ad.value(self.constraints(x))
         return np.sum(h * h, axis=-1)
+
+
+def _stage_vtj(W, F):
+    """Per-stage ``W^T F``: ``(..., K, nx)`` with ``(..., K, nx, d)`` -> ``(..., K, d)``.
+
+    Accumulates the ``nx`` rows in order onto zeros, which is bit-equal to
+    ``einsum("...kij,...ki->...kj", F, W)`` and several times faster on the
+    strided stage-Jacobian views.
+    """
+    out = np.zeros(np.broadcast_shapes(W.shape[:-1], F.shape[:-2]) + F.shape[-1:])
+    for i in range(F.shape[-2]):
+        out += W[..., i, None] * F[..., i, :]
+    return out
 
 
 def rollout(ocp: OcpDefinition, controls, x0=None) -> np.ndarray:
@@ -297,10 +306,10 @@ def transcribe(ocp: OcpDefinition) -> NlpProblem:
         def vjp(w):
             W = w[..., : K * nx].reshape(w.shape[:-1] + (K, nx))
             w0 = w[..., K * nx :]
-            gu = -np.einsum("...kij,...ki->...kj", Fu, W)
+            gu = -_stage_vtj(W, Fu)
             gx = np.zeros(w.shape[:-1] + (K + 1, nx))
             gx[..., 1:, :] += W
-            gx[..., :K, :] -= np.einsum("...kij,...ki->...kj", Fx, W)
+            gx[..., :K, :] -= _stage_vtj(W, Fx)
             gx[..., 0, :] += w0
             return join(gu, gx, layout)
 

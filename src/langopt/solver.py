@@ -66,17 +66,21 @@ class SolverConfig:
     iterations: int = 20000
     hold: int = 0
     barrier_weight: float = 1e-3
-    barrier_decay: float = 1.0  # optional geometric decay of the barrier, off by default
     seed: int = 0
     snapshot_stride: int = 100
 
     def __post_init__(self):
+        for name in ("alpha", "mu", "sigma0", "sigma_min", "barrier_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if not self.mu > 0:
             raise ValueError("mu must be positive")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
+        if self.snapshot_stride < 1:
+            raise ValueError("snapshot_stride must be at least 1")
         if not 0 <= self.hold <= self.iterations:
             raise ValueError("hold must lie in [0, iterations]")
         if self.sigma_min < 0 or self.sigma0 < self.sigma_min:
@@ -255,13 +259,20 @@ def _advance(nlp, X, Lam, it, config, rngs, active):
     Returns (X', Lam', diag, failures) where diag holds pre-step diagnostics
     and failures maps chain index -> error message for chains that died this
     iteration. Inactive chains are left untouched and draw no noise.
+
+    A step that leaves the finite bounds is retried at half the time step,
+    up to ``_MAX_RETRIES`` halvings. The retries run one halving level at a
+    time for all chains still outside together; each level takes one draw per
+    chain from that chain's own generator, so every chain consumes its stream
+    exactly as if it were stepped alone. At sigma = 0 no noise is drawn at
+    all, neither for the step nor for its retries, and the update is the
+    plain gradient step.
     """
     N, n = X.shape
     alpha = config.alpha
     mu = config.mu
-    beta = config.barrier_weight * config.barrier_decay**it
+    beta = config.barrier_weight
     sigma = noise_schedule(it, config)
-    sq = math.sqrt(alpha)
 
     h, vjp = nlp.constraints_with_vjp(X)
     c, cg = nlp.cost_and_gradient(X)
@@ -283,33 +294,32 @@ def _advance(nlp, X, Lam, it, config, rngs, active):
         failures[int(j)] = f"non-finite drift at iteration {it}"
     ok = active & ~bad
 
-    noise = np.zeros_like(X)
-    idx = np.nonzero(ok)[0]
-    for j in idx:
-        noise[j] = rngs[j].standard_normal(n)
-    Xc = X - 0.5 * alpha * g + (sigma * sq) * noise
+    Xc = X - 0.5 * alpha * g
+    if sigma > 0:
+        noise = np.zeros_like(X)
+        for j in np.nonzero(ok)[0]:
+            noise[j] = rngs[j].standard_normal(n)
+        Xc = Xc + (sigma * math.sqrt(alpha)) * noise
 
     if beta > 0:
-        viol = ok & ~_interior(Xc, nlp.lower, nlp.upper)
-        for j in np.nonzero(viol)[0]:
-            accepted = False
-            for r in range(1, _MAX_RETRIES + 1):
-                scale = 0.5**r
-                cand = (
-                    X[j]
-                    - 0.5 * alpha * scale * g[j]
-                    + sigma * math.sqrt(alpha * scale) * rngs[j].standard_normal(n)
-                )
-                if _interior(cand[None], nlp.lower, nlp.upper)[0]:
-                    Xc[j] = cand
-                    accepted = True
-                    break
-            if not accepted:
-                failures[int(j)] = (
-                    f"barrier-domain violation persisted through {_MAX_RETRIES} "
-                    f"halved retries at iteration {it}"
-                )
-                ok[j] = False
+        outside = np.nonzero(ok & ~_interior(Xc, nlp.lower, nlp.upper))[0]
+        for r in range(1, _MAX_RETRIES + 1):
+            if not outside.size:
+                break
+            scale = 0.5**r
+            cand = X[outside] - 0.5 * alpha * scale * g[outside]
+            if sigma > 0:
+                noise = np.stack([rngs[j].standard_normal(n) for j in outside])
+                cand = cand + sigma * math.sqrt(alpha * scale) * noise
+            inside = _interior(cand, nlp.lower, nlp.upper)
+            Xc[outside[inside]] = cand[inside]
+            outside = outside[~inside]
+        for j in outside:
+            failures[int(j)] = (
+                f"barrier-domain violation persisted through {_MAX_RETRIES} "
+                f"halved retries at iteration {it}"
+            )
+            ok[j] = False
 
     Xn = np.where(ok[:, None], Xc, X)
     Lamn = np.where(ok[:, None], Lam + (alpha * mu) * h, Lam)
@@ -317,7 +327,11 @@ def _advance(nlp, X, Lam, it, config, rngs, active):
 
 
 def step(nlp: NlpProblem, state: ChainState, config: SolverConfig, rng) -> ChainState:
-    """Advance a single chain by one iteration."""
+    """Advance a single chain by one iteration.
+
+    ``rng`` supplies the chain's noise; at sigma = 0 it is not drawn from,
+    so the caller's generator is left exactly as it was.
+    """
     X = np.asarray(state.xbar, dtype=float)[None]
     Lam = np.asarray(state.lam, dtype=float)[None]
     active = np.ones(1, dtype=bool)
@@ -332,7 +346,7 @@ def _run_chains(nlp, X0, Lam0, config, rngs):
     """Iterate the kernel for a stack of chains, recording traces."""
     N, n = X0.shape
     T = config.iterations
-    stride = max(1, config.snapshot_stride)
+    stride = config.snapshot_stride
     X = np.array(X0, dtype=float)
     Lam = np.array(Lam0, dtype=float)
     active = np.ones(N, dtype=bool)

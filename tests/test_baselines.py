@@ -140,6 +140,10 @@ class TestBfgsPenalty:
             BfgsOptions(hessian="lbfgs")
         with pytest.raises(ValueError):
             BaselineConfig(alpha=-0.1)
+        with pytest.raises(ValueError, match="snapshot_stride"):
+            BaselineConfig(snapshot_stride=0)
+        with pytest.raises(ValueError, match="barrier_weight"):
+            BaselineConfig(barrier_weight=float("nan"))
 
     def test_trace_schema(self):
         nlp = toy_kkt_problem()

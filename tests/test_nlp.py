@@ -13,7 +13,7 @@ from langopt import (
     transcribe,
     unpack,
 )
-from langopt.problems import pendulum_ocp, unicycle_dynamics
+from langopt.problems import get_problem, pendulum_ocp, unicycle_dynamics
 
 
 def scalar_ocp(K=1, x_init=0.0):
@@ -134,6 +134,33 @@ class TestTranscribe:
         U = rng.uniform(-1, 1, (ocp.K, 1))
         v = pack(U, rollout(ocp, U))
         assert np.max(np.abs(nlp.constraints(v.data))) <= 1e-12
+
+
+@pytest.mark.parametrize("problem", ["pendulum", "bugtrap"])
+class TestTranscribedVjp:
+    def points(self, problem):
+        bundle = get_problem(problem)
+        rng = np.random.default_rng(11)
+        Z = np.stack([bundle.guess(rng) for _ in range(3)])
+        W = rng.standard_normal((3, bundle.nlp.m))
+        return bundle.nlp, Z, W
+
+    def test_batch_equals_per_point(self, problem):
+        nlp, Z, W = self.points(problem)
+        h, vjp = nlp.constraints_with_vjp(Z)
+        g = vjp(W)
+        for z, w, hi, gi in zip(Z, W, h, g):
+            h1, vjp1 = nlp.constraints_with_vjp(z)
+            assert h1.tobytes() == hi.tobytes()
+            assert vjp1(w).tobytes() == gi.tobytes()
+
+    def test_matches_dense_forward_jacobian(self, problem):
+        nlp, Z, W = self.points(problem)
+        _, vjp = nlp.constraints_with_vjp(Z)
+        g = vjp(W)
+        for z, w, gi in zip(Z, W, g):
+            ref = ad.jacobian(nlp.constraints, z, ad.Exact()).T @ w
+            assert np.max(np.abs(gi - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestRollout:

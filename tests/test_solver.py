@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from langopt import (
 )
 from langopt.nlp import NlpProblem
 from langopt.problems import get_problem, pendulum_ocp, toy_kkt_problem
+from langopt.solver import _MAX_RETRIES, _advance, _interior
 
 
 def boxed_toy(lo=-10.0, hi=10.0):
@@ -56,6 +58,17 @@ class TestConfig:
             SolverConfig(gamma=1.5)
         with pytest.raises(ValueError):
             SolverConfig(iterations=0)
+        for field, value in [
+            ("sigma0", math.nan),
+            ("sigma_min", math.nan),
+            ("alpha", math.inf),
+            ("mu", math.inf),
+            ("barrier_weight", math.nan),
+            ("barrier_weight", math.inf),
+            ("snapshot_stride", 0),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                SolverConfig(**{field: value})
 
 
 class TestNoiseSchedule:
@@ -187,6 +200,161 @@ class TestStep:
         b = step(nlp, ChainState(xbar=x.copy(), lam=np.zeros(1)), cfg, np.random.default_rng(2))
         assert not np.allclose(a.xbar, b.xbar)
         assert np.array_equal(a.lam, b.lam)
+
+
+def walled_box(wall):
+    """Toy KKT problem in the box [-1, 1]^2 with a made-up gradient field.
+
+    The gradient is ``x`` except that it is ``wall * x`` where x_0 > 0.9, so
+    chains there are thrown out of the box by the drift, and NaN where
+    x_0 == -0.5 exactly, so a chain there fails with a non-finite drift.
+    """
+    toy = toy_kkt_problem()
+
+    def cost_and_gradient(x):
+        x = np.asarray(x, dtype=float)
+        g = np.where(x[..., :1] > 0.9, wall * x, x)
+        g = np.where(x[..., :1] == -0.5, np.nan, g)
+        return 0.5 * np.sum(x * x, axis=-1), g
+
+    return NlpProblem(
+        n=2,
+        m=1,
+        cost=toy.cost,
+        constraints=toy.constraints,
+        lower=np.full(2, -1.0),
+        upper=np.full(2, 1.0),
+        cost_and_gradient=cost_and_gradient,
+        constraints_with_vjp=toy.constraints_with_vjp,
+    )
+
+
+def reference_advance(nlp, X, Lam, it, config, rngs, active):
+    """The kernel step with bound retries run one chain at a time.
+
+    This is the straightforward form of ``_advance``: every chain draws its
+    noise even at sigma = 0, and a chain that leaves the box is retried at
+    halved steps on its own before the next one is looked at. Returns the
+    number of normal vectors each chain drew as a fifth value.
+    """
+    N, n = X.shape
+    alpha, mu, beta = config.alpha, config.mu, config.barrier_weight
+    sigma = noise_schedule(it, config)
+    draws = np.zeros(N, dtype=int)
+    h, vjp = nlp.constraints_with_vjp(X)
+    _, cg = nlp.cost_and_gradient(X)
+    g = cg + vjp(Lam + mu * h)
+    if beta > 0:
+        g = g + beta * barrier_gradient(X, nlp.lower, nlp.upper)
+    failures = {}
+    bad = active & ~np.all(np.isfinite(g), axis=-1)
+    for j in np.nonzero(bad)[0]:
+        failures[int(j)] = f"non-finite drift at iteration {it}"
+    ok = active & ~bad
+    noise = np.zeros_like(X)
+    for j in np.nonzero(ok)[0]:
+        noise[j] = rngs[j].standard_normal(n)
+        draws[j] += 1
+    Xc = X - 0.5 * alpha * g + (sigma * math.sqrt(alpha)) * noise
+    if beta > 0:
+        for j in np.nonzero(ok & ~_interior(Xc, nlp.lower, nlp.upper))[0]:
+            for r in range(1, _MAX_RETRIES + 1):
+                scale = 0.5**r
+                draws[j] += 1
+                cand = (
+                    X[j]
+                    - 0.5 * alpha * scale * g[j]
+                    + sigma * math.sqrt(alpha * scale) * rngs[j].standard_normal(n)
+                )
+                if _interior(cand[None], nlp.lower, nlp.upper)[0]:
+                    Xc[j] = cand
+                    break
+            else:
+                failures[int(j)] = (
+                    f"barrier-domain violation persisted through {_MAX_RETRIES} "
+                    f"halved retries at iteration {it}"
+                )
+                ok[j] = False
+    Xn = np.where(ok[:, None], Xc, X)
+    Lamn = np.where(ok[:, None], Lam + (alpha * mu) * h, Lam)
+    return Xn, Lamn, failures, draws
+
+
+def rng_states(rngs):
+    return [r.bit_generator.state for r in rngs]
+
+
+class TestAdvance:
+    X0 = np.array(
+        [
+            [0.0, 0.0],
+            [0.95, 0.0],  # thrown out by the wall at every halving
+            [0.8, 0.7],
+            [-0.95, 0.9],
+            [0.0, 0.99],
+            [0.3, 0.3],  # inactive
+            [-0.5, 0.2],  # non-finite drift
+            [0.5, -0.98],
+        ]
+    )
+
+    def test_batched_retries_match_one_chain_at_a_time(self):
+        nlp = walled_box(1e12)
+        cfg = SolverConfig(sigma0=3.0, gamma=1.0, iterations=10, seed=3)
+        N = len(self.X0)
+        rngs = [np.random.default_rng(cfg.seed + j) for j in range(N)]
+        ref_rngs = [np.random.default_rng(cfg.seed + j) for j in range(N)]
+        X = self.X0.copy()
+        Lam = np.linspace(-1.0, 1.0, N)[:, None]
+        active = np.ones(N, dtype=bool)
+        active[5] = False
+        inactive_state = rngs[5].bit_generator.state
+        retried = np.zeros(N, dtype=bool)
+        all_failures = {}
+        for it in range(5):
+            Xr, Lamr, fr, draws = reference_advance(nlp, X, Lam, it, cfg, ref_rngs, active.copy())
+            Xn, Lamn, _, failures = _advance(nlp, X, Lam, it, cfg, rngs, active.copy())
+            assert Xn.tobytes() == Xr.tobytes()
+            assert Lamn.tobytes() == Lamr.tobytes()
+            assert failures == fr
+            assert rng_states(rngs) == rng_states(ref_rngs)
+            retried |= draws > 1
+            all_failures.update(failures)
+            active[list(failures)] = False
+            X, Lam = Xn, Lamn
+        # the scenario covers what it is meant to cover
+        assert retried.sum() >= 3
+        assert all_failures[1].startswith(f"barrier-domain violation persisted through {_MAX_RETRIES}")
+        assert all_failures[6].startswith("non-finite drift")
+        assert np.array_equal(X[5], self.X0[5])
+        assert rngs[5].bit_generator.state == inactive_state
+
+    def test_sigma_zero_draws_nothing(self):
+        nlp = walled_box(1e4)  # chain 1 is retried until a halved step fits
+        cfg = SolverConfig(sigma0=0.0, sigma_min=0.0, gamma=1.0, iterations=10)
+        N = len(self.X0)
+        rngs = [np.random.default_rng(j) for j in range(N)]
+        ref_rngs = [np.random.default_rng(j) for j in range(N)]
+        before = rng_states(rngs)
+        X, Lam = self.X0.copy(), np.zeros((N, 1))
+        active = np.ones(N, dtype=bool)
+        Xr, Lamr, fr, draws = reference_advance(nlp, X, Lam, 0, cfg, ref_rngs, active.copy())
+        Xn, Lamn, _, failures = _advance(nlp, X, Lam, 0, cfg, rngs, active.copy())
+        assert draws[1] > 1 and 1 not in fr
+        assert Xn.tobytes() == Xr.tobytes()
+        assert Lamn.tobytes() == Lamr.tobytes()
+        assert failures == fr
+        assert rng_states(rngs) == before
+
+    @pytest.mark.parametrize("x", [[0.95, 0.0], [0.1, 0.2]])
+    def test_step_leaves_generator_alone_at_sigma_zero(self, x):
+        cfg = SolverConfig(sigma0=0.0, sigma_min=0.0, gamma=1.0, iterations=10)
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        state = ChainState(xbar=np.array(x), lam=np.zeros(1))
+        out = step(walled_box(1e4), state, cfg, rng)
+        assert np.all(np.abs(out.xbar) < 1.0)
+        assert rng.bit_generator.state == before
 
 
 class TestSolve:
