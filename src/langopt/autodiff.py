@@ -4,6 +4,12 @@ Model functions (dynamics, costs, constraints) are written against the math
 shims in this module (``sin``, ``sqrt``, ``stack``, ...), which dispatch on the
 argument type: plain ndarrays go straight to numpy, :class:`Dual` arrays
 propagate first-order tangents alongside the values.
+
+Tangents are stored tangent-major: a Dual whose value has shape S carries
+``eps`` of shape ``(d,) + S``, so every elementwise rule multiplies a
+value-shaped factor into d contiguous blocks. :func:`gradient` and
+:func:`jacobian` return the usual tangent-last arrays, ``(..., n)`` and
+``(..., m, n)``.
 """
 
 from __future__ import annotations
@@ -21,9 +27,10 @@ class NonFiniteValueError(ValueError):
 class Dual:
     """Array of first-order dual numbers.
 
-    ``val`` has an arbitrary shape S and ``eps`` has shape S + (d,), carrying
-    d tangent directions for every element. Arithmetic follows the usual
-    first-order rules; plain arrays and scalars mix in as constants.
+    ``val`` has an arbitrary shape S and ``eps`` has shape ``(d,) + S``:
+    ``eps[k]`` is the derivative of ``val`` along tangent direction k.
+    Arithmetic follows the usual first-order rules; plain arrays and scalars
+    mix in as constants and broadcast against the value axes.
     """
 
     __slots__ = ("val", "eps")
@@ -32,10 +39,18 @@ class Dual:
     def __init__(self, val, eps):
         val = np.asarray(val, dtype=float)
         eps = np.asarray(eps, dtype=float)
-        if eps.shape[:-1] != val.shape:
-            eps = np.broadcast_to(eps, val.shape + eps.shape[-1:])
+        if eps.shape[1:] != val.shape:
+            eps = np.broadcast_to(_pad(eps, val.ndim), eps.shape[:1] + val.shape)
         self.val = val
         self.eps = eps
+
+    @classmethod
+    def _of(cls, val, eps):
+        """Unchecked constructor: ``eps`` must already have shape ``(d,) + val.shape``."""
+        out = object.__new__(cls)
+        out.val = val
+        out.eps = eps
+        return out
 
     # -- shape plumbing -------------------------------------------------
 
@@ -49,79 +64,89 @@ class Dual:
 
     @property
     def tangents(self):
-        return self.eps.shape[-1]
+        return self.eps.shape[0]
 
     def reshape(self, shape):
         shape = tuple(shape)
-        return Dual(self.val.reshape(shape), self.eps.reshape(shape + self.eps.shape[-1:]))
+        return Dual._of(self.val.reshape(shape), self.eps.reshape(self.eps.shape[:1] + shape))
 
     def __getitem__(self, idx):
         if not isinstance(idx, tuple):
             idx = (idx,)
-        if any(i is Ellipsis for i in idx):
-            eidx = idx + (slice(None),)
-        else:
-            eidx = idx
-        return Dual(self.val[idx], self.eps[eidx])
+        if any(isinstance(i, (list, np.ndarray)) for i in idx):
+            # numpy moves split advanced indices to the front: index the tangent-last view
+            eidx = idx + (slice(None),) if any(i is Ellipsis for i in idx) else idx
+            eps = np.moveaxis(np.moveaxis(self.eps, 0, -1)[eidx], -1, 0)
+            return Dual._of(self.val[idx], eps)
+        return Dual._of(self.val[idx], self.eps[(slice(None),) + idx])
 
     def sum(self, axis=None):
+        """Sum over ``axis``, or over all elements; tangents accumulate in element order."""
+        eps = self.eps
         if axis is None:
-            d = self.eps.shape[-1]
-            return Dual(self.val.sum(), self.eps.reshape(-1, d).sum(axis=0))
-        if axis < 0:
-            axis = self.val.ndim + axis
-        return Dual(self.val.sum(axis=axis), self.eps.sum(axis=axis))
+            val, eps, axis = self.val.sum(), eps.reshape(eps.shape[0], -1), 0
+        else:
+            if axis < 0:
+                axis = self.val.ndim + axis
+            val = self.val.sum(axis=axis)
+        # numpy sums a contiguous axis pairwise; adding the slices in order keeps
+        # the bits of the tangent-last layout and is faster over short axes
+        pre = (slice(None),) * (axis + 1)
+        out = np.zeros(eps.shape[: axis + 1] + eps.shape[axis + 2 :])
+        for i in range(eps.shape[axis + 1]):
+            out += eps[pre + (i,)]
+        return Dual._of(val, out)
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, o):
         if isinstance(o, Dual):
-            return Dual(self.val + o.val, self.eps + o.eps)
-        return Dual(self.val + o, self.eps)
+            val = self.val + o.val
+            return _result(val, _pad(self.eps, val.ndim) + _pad(o.eps, val.ndim))
+        return _result(self.val + o, self.eps)
 
     __radd__ = __add__
 
     def __sub__(self, o):
         if isinstance(o, Dual):
-            return Dual(self.val - o.val, self.eps - o.eps)
-        return Dual(self.val - o, self.eps)
+            val = self.val - o.val
+            return _result(val, _pad(self.eps, val.ndim) - _pad(o.eps, val.ndim))
+        return _result(self.val - o, self.eps)
 
     def __rsub__(self, o):
-        return Dual(o - self.val, -self.eps)
+        return _result(o - self.val, -self.eps)
 
     def __neg__(self):
-        return Dual(-self.val, -self.eps)
+        return Dual._of(-self.val, -self.eps)
 
     def __mul__(self, o):
         if isinstance(o, Dual):
-            return Dual(
-                self.val * o.val,
-                self.eps * o.val[..., None] + o.eps * self.val[..., None],
-            )
+            val = self.val * o.val
+            a, b = _pad(self.eps, val.ndim), _pad(o.eps, val.ndim)
+            return _result(val, a * o.val + b * self.val)
         o = np.asarray(o, dtype=float)
-        return Dual(self.val * o, self.eps * o[..., None])
+        val = self.val * o
+        return _result(val, _pad(self.eps, val.ndim) * o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
         if isinstance(o, Dual):
             val = self.val / o.val
-            eps = (self.eps * o.val[..., None] - o.eps * self.val[..., None]) / (
-                o.val * o.val
-            )[..., None]
-            return Dual(val, eps)
+            a, b = _pad(self.eps, val.ndim), _pad(o.eps, val.ndim)
+            return _result(val, (a * o.val - b * self.val) / (o.val * o.val))
         o = np.asarray(o, dtype=float)
-        return Dual(self.val / o, self.eps / o[..., None])
+        val = self.val / o
+        return _result(val, _pad(self.eps, val.ndim) / o)
 
     def __rtruediv__(self, o):
         o = np.asarray(o, dtype=float)
         val = o / self.val
-        eps = -self.eps * (o / (self.val * self.val))[..., None]
-        return Dual(val, eps)
+        return _result(val, -_pad(self.eps, val.ndim) * (o / (self.val * self.val)))
 
     def __pow__(self, p):
         p = float(p)
-        return Dual(self.val**p, (p * self.val ** (p - 1.0))[..., None] * self.eps)
+        return Dual._of(self.val**p, (p * self.val ** (p - 1.0)) * self.eps)
 
     # comparisons look at values only
     def __lt__(self, o):
@@ -137,7 +162,20 @@ class Dual:
         return self.val >= value(o)
 
     def __repr__(self):
-        return f"Dual(val={self.val!r}, tangents={self.eps.shape[-1]})"
+        return f"Dual(val={self.val!r}, tangents={self.eps.shape[0]})"
+
+
+def _pad(eps, ndim):
+    """Tangent-major ``eps`` with value axes left-padded to ``ndim``, to broadcast like values."""
+    pad = ndim + 1 - eps.ndim
+    return eps if pad <= 0 else eps.reshape(eps.shape[:1] + (1,) * pad + eps.shape[1:])
+
+
+def _result(val, eps):
+    """Dual of an elementwise result; widens ``eps`` where a constant operand broadcast ``val``."""
+    if eps.shape[1:] != val.shape:
+        eps = np.broadcast_to(_pad(eps, val.ndim), eps.shape[:1] + val.shape)
+    return Dual._of(val, eps)
 
 
 ArrayLike = Union[np.ndarray, Dual]
@@ -149,21 +187,22 @@ def value(x):
 
 
 def seed(x: np.ndarray) -> Dual:
-    """Attach identity tangents along the last axis of ``x``."""
+    """Attach identity tangents along the last axis of ``x``: ``eps[k, ..., i] = [i == k]``."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    return Dual(x, np.broadcast_to(np.eye(n), x.shape + (n,)))
+    eye = np.eye(n).reshape((n,) + (1,) * (x.ndim - 1) + (n,))
+    return Dual(x, np.broadcast_to(eye, (n,) + x.shape))
 
 
 def constant(x, d: int) -> Dual:
     """Lift a plain array to a Dual with ``d`` zero tangents."""
     x = np.asarray(x, dtype=float)
-    return Dual(x, np.zeros(x.shape + (d,)))
+    return Dual(x, np.zeros((d,) + x.shape))
 
 
 def _unary(x, fval, fderiv):
     if isinstance(x, Dual):
-        return Dual(fval(x.val), fderiv(x.val)[..., None] * x.eps)
+        return Dual._of(fval(x.val), fderiv(x.val) * x.eps)
     return fval(np.asarray(x, dtype=float))
 
 
@@ -196,36 +235,23 @@ def absolute(x):
 
 
 def _sigmoid(v):
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    ev = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + ev), ev / (1.0 + ev))
 
 
 def softplus(x):
     """Numerically stable log(1 + exp(x))."""
-    return _unary(
-        x,
-        lambda v: np.logaddexp(0.0, v),
-        lambda v: _sigmoid(np.atleast_1d(v)).reshape(np.shape(v)),
-    )
+    return _unary(x, lambda v: np.logaddexp(0.0, v), _sigmoid)
 
 
 def where(cond, a, b):
     """Select between ``a`` and ``b`` (dual-aware); ``cond`` is a plain mask."""
     cond = np.asarray(cond)
     if isinstance(a, Dual) or isinstance(b, Dual):
-        d = a.tangents if isinstance(a, Dual) else b.tangents
-        if not isinstance(a, Dual):
-            a = constant(np.broadcast_to(a, cond.shape), d)
-        if not isinstance(b, Dual):
-            b = constant(np.broadcast_to(b, cond.shape), d)
-        return Dual(
-            np.where(cond, a.val, b.val),
-            np.where(cond[..., None], a.eps, b.eps),
-        )
+        val = np.where(cond, value(a), value(b))
+        ea = _pad(a.eps, val.ndim) if isinstance(a, Dual) else 0.0
+        eb = _pad(b.eps, val.ndim) if isinstance(b, Dual) else 0.0
+        return _result(val, np.where(cond, ea, eb))
     return np.where(cond, a, b)
 
 
@@ -247,27 +273,23 @@ def stack(parts, axis=0):
     if any(isinstance(p, Dual) for p in parts):
         d = next(p.tangents for p in parts if isinstance(p, Dual))
         shp = np.broadcast_shapes(*(np.shape(value(p)) for p in parts))
-        parts = [
-            p if isinstance(p, Dual) else constant(np.broadcast_to(value(p), shp), d)
-            for p in parts
-        ]
-        eaxis = axis if axis >= 0 else axis - 1
-        return Dual(
-            np.stack([p.val for p in parts], axis=axis),
-            np.stack([p.eps for p in parts], axis=eaxis),
-        )
+        vals = [p.val if isinstance(p, Dual) else np.broadcast_to(value(p), shp) for p in parts]
+        eps = [p.eps if isinstance(p, Dual) else np.broadcast_to(0.0, (d,) + shp) for p in parts]
+        eaxis = axis + 1 if axis >= 0 else axis
+        return Dual._of(np.stack(vals, axis=axis), np.stack(eps, axis=eaxis))
     return np.stack(parts, axis=axis)
 
 
 def concat(parts, axis=-1):
     if any(isinstance(p, Dual) for p in parts):
         d = next(p.tangents for p in parts if isinstance(p, Dual))
-        parts = [p if isinstance(p, Dual) else constant(value(p), d) for p in parts]
-        eaxis = axis if axis >= 0 else axis - 1
-        return Dual(
-            np.concatenate([p.val for p in parts], axis=axis),
-            np.concatenate([p.eps for p in parts], axis=eaxis),
-        )
+        vals = [value(p) for p in parts]
+        eps = [
+            p.eps if isinstance(p, Dual) else np.broadcast_to(0.0, (d,) + v.shape)
+            for p, v in zip(parts, vals)
+        ]
+        eaxis = axis + 1 if axis >= 0 else axis
+        return Dual._of(np.concatenate(vals, axis=axis), np.concatenate(eps, axis=eaxis))
     return np.concatenate(parts, axis=axis)
 
 
@@ -334,7 +356,7 @@ def gradient(f: Callable, x: np.ndarray, method: GradientMethod = Exact(), rng=N
             _check_finite(y, "x")
             return np.zeros_like(x)
         _check_finite(y.val, "x")
-        return np.array(y.eps, dtype=float)
+        return np.moveaxis(y.eps, 0, -1).copy()
     if isinstance(method, FiniteDifference):
         g = np.empty(n)
         for i in range(n):
@@ -368,7 +390,7 @@ def jacobian(h: Callable, x: np.ndarray, method: GradientMethod = Exact(), rng=N
             y = _check_finite(y, "x")
             return np.zeros(y.shape + (n,))
         _check_finite(y.val, "x")
-        return np.array(y.eps, dtype=float)
+        return np.moveaxis(y.eps, 0, -1).copy()
     if isinstance(method, FiniteDifference):
         cols = []
         for i in range(n):

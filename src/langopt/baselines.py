@@ -23,6 +23,7 @@ from .solver import (
     SolverConfig,
     Solution,
     Trace,
+    _check_seed,
     _interior,
     barrier_gradient,
     barrier_value,
@@ -65,6 +66,7 @@ class BaselineConfig:
             raise ValueError("iterations must be at least 1")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
+        _check_seed(self.seed)
 
 
 def _solver_config(config: BaselineConfig) -> SolverConfig:

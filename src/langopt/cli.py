@@ -23,7 +23,7 @@ import numpy as np
 
 from .baselines import BaselineConfig, bfgs_penalty, gradient_descent_cdo
 from .problems import PROBLEMS, get_problem
-from .solver import SolverConfig, solve_batch
+from .solver import SolverConfig, _check_seed, solve_batch
 
 SOLVERS = ("diffusion", "gd", "bfgs")
 
@@ -166,6 +166,10 @@ def _validate(cfg: dict) -> str | None:
         return f"unknown solver {cfg['solver']!r}; valid solvers: {list(SOLVERS)}"
     if int(cfg["batch"]) < 1:
         return "batch size must be at least 1"
+    try:
+        _check_seed(cfg["seed"])  # before the guesses are drawn from it
+    except ValueError as exc:
+        return str(exc)
     return None
 
 

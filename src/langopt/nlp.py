@@ -179,7 +179,7 @@ class NlpProblem:
         y = self.cost(ad.seed(x))
         if not isinstance(y, ad.Dual):
             return np.asarray(y, dtype=float), np.zeros_like(np.asarray(x, dtype=float))
-        return y.val, np.array(y.eps)
+        return y.val, np.moveaxis(y.eps, 0, -1).copy()
 
     def _generic_jacobian(self, x):
         x = np.asarray(x, dtype=float)
@@ -188,7 +188,7 @@ class NlpProblem:
         y = self.constraints(ad.seed(x))
         if not isinstance(y, ad.Dual):
             return np.zeros(x.shape[:-1] + (self.m, self.n))
-        return np.array(y.eps)
+        return np.moveaxis(y.eps, 0, -1).copy()
 
     def _generic_constraints_with_vjp(self, x):
         if self.m == 0:
@@ -255,10 +255,19 @@ def transcribe(ocp: OcpDefinition) -> NlpProblem:
     K, nx, nu = layout.K, layout.nx, layout.nu
     n, m = layout.n, layout.m
     d = nx + nu  # per-stage tangent dimension for structured derivatives
-    ex = np.zeros((nx, d))
-    ex[:, :nx] = np.eye(nx)
-    eu = np.zeros((nu, d))
-    eu[:, nx:] = np.eye(nu)
+
+    def stage_seeds(xs, U):
+        """Duals of stage states and controls, with contiguous ``(d,) + shape`` seed tangents.
+
+        Tangent j < nx of stage k is d/d(x_k)_j and tangent nx + j is d/d(u_k)_j.
+        """
+        sx = np.zeros((d,) + xs.shape)
+        su = np.zeros((d,) + U.shape)
+        for j in range(nx):
+            sx[j, ..., j] = 1.0
+        for j in range(nu):
+            su[nx + j, ..., j] = 1.0
+        return ad.Dual._of(xs, sx), ad.Dual._of(U, su)
 
     def cost(z):
         U, X = split(z, layout)
@@ -277,28 +286,23 @@ def transcribe(ocp: OcpDefinition) -> NlpProblem:
     def cost_and_gradient(z):
         z = np.asarray(z, dtype=float)
         U, X = split(z, layout)
-        xs = X[..., :K, :]
-        sx = ad.Dual(xs, np.broadcast_to(ex, xs.shape + (d,)))
-        su = ad.Dual(U, np.broadcast_to(eu, U.shape + (d,)))
-        lc = ocp.running_cost(sx, su)
+        lc = ocp.running_cost(*stage_seeds(X[..., :K, :], U))
         term = ocp.terminal_cost(ad.seed(X[..., K, :]))
         val = lc.val.sum(axis=-1) + term.val
+        lc_eps = np.moveaxis(lc.eps, 0, -1)  # (..., K, d), tangent-last view
         gx = np.zeros(X.shape)
-        gx[..., :K, :] = lc.eps[..., :nx]
-        gx[..., K, :] += term.eps
-        gu = lc.eps[..., nx:]
+        gx[..., :K, :] = lc_eps[..., :nx]
+        gx[..., K, :] += np.moveaxis(term.eps, 0, -1)
+        gu = lc_eps[..., nx:]
         return val, join(gu, gx, layout)
 
     def constraints_with_vjp(z):
         z = np.asarray(z, dtype=float)
         U, X = split(z, layout)
-        xs = X[..., :K, :]
-        f = ocp.dynamics(
-            ad.Dual(xs, np.broadcast_to(ex, xs.shape + (d,))),
-            ad.Dual(U, np.broadcast_to(eu, U.shape + (d,))),
-        )
-        Fx = f.eps[..., :nx]  # (..., K, nx, nx): d f_i / d x_j
-        Fu = f.eps[..., nx:]  # (..., K, nx, nu)
+        f = ocp.dynamics(*stage_seeds(X[..., :K, :], U))
+        F = np.moveaxis(f.eps, 0, -1)  # (..., K, nx, d), tangent-last view
+        Fx = F[..., :nx]  # (..., K, nx, nx): d f_i / d x_j
+        Fu = F[..., nx:]  # (..., K, nx, nu)
         defects = X[..., 1:, :] - f.val
         init = X[..., 0, :] - ocp.x_init
         h = np.concatenate([defects.reshape(defects.shape[:-2] + (K * nx,)), init], axis=-1)

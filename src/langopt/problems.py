@@ -109,11 +109,10 @@ class Rect:
     half: Tuple[float, float]
 
 
-def rect_signed_distance(p, rect: Rect):
-    """Signed distance of planar points ``(..., 2)`` to a rectangle (negative inside)."""
-    q = ad.absolute(p - np.asarray(rect.center)) - np.asarray(rect.half)
-    qx = q[..., 0]
-    qy = q[..., 1]
+def _box_distance(px, py, center, half):
+    """Signed distance of points ``(px, py)`` to boxes ``center +- half``, broadcasting over all."""
+    qx = ad.absolute(px - center[0]) - half[0]
+    qy = ad.absolute(py - center[1]) - half[1]
     out_mask = (ad.value(qx) > 0) | (ad.value(qy) > 0)
     qpx = ad.maximum(qx, 0.0)
     qpy = ad.maximum(qy, 0.0)
@@ -121,6 +120,11 @@ def rect_signed_distance(p, rect: Rect):
     outside = ad.where(out_mask, ad.sqrt(ad.where(out_mask, sq, 1.0)), 0.0)
     inside = ad.minimum(ad.maximum(qx, qy), 0.0)
     return outside + inside
+
+
+def rect_signed_distance(p, rect: Rect):
+    """Signed distance of planar points ``(..., 2)`` to a rectangle (negative inside)."""
+    return _box_distance(p[..., 0], p[..., 1], rect.center, rect.half)
 
 
 @dataclass(frozen=True)
@@ -151,11 +155,22 @@ class BugTrapGeometry:
 
 
 def obstacle_penalty(p, geom: BugTrapGeometry):
-    """Smooth proximity penalty: softplus ramp of margin minus signed distance."""
+    """Smooth proximity penalty: softplus ramp of margin minus signed distance.
+
+    All rectangles are evaluated in one broadcast pass over a leading
+    rectangle axis (leading, so that every dual-number rule runs over whole
+    contiguous point blocks). The per-rectangle ramps are then added in
+    rectangle order, which reproduces summing :func:`rect_signed_distance`
+    ramps one rectangle at a time, bit for bit.
+    """
+    lead = (len(geom.rects),) + (1,) * (np.ndim(p) - 1)
+    center = [np.array([r.center[i] for r in geom.rects]).reshape(lead) for i in range(2)]
+    half = [np.array([r.half[i] for r in geom.rects]).reshape(lead) for i in range(2)]
+    sd = _box_distance(p[None, ..., 0], p[None, ..., 1], center, half)
+    ramps = ad.softplus((geom.margin - sd) / geom.smooth_len) * geom.smooth_len
     total = 0.0
-    for rect in geom.rects:
-        sd = rect_signed_distance(p, rect)
-        total = total + ad.softplus((geom.margin - sd) / geom.smooth_len) * geom.smooth_len
+    for i in range(len(geom.rects)):
+        total = total + ramps[i]
     return geom.w_obs * total
 
 

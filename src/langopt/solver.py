@@ -33,6 +33,12 @@ from .nlp import NlpProblem, OcpDefinition, pack
 _MAX_RETRIES = 20
 
 
+def _check_seed(seed):
+    """Reject a seed that the chains' generators would refuse, naming the field."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 class BarrierDomainError(ValueError):
     """An evaluation point sits on or outside a finite bound."""
 
@@ -81,6 +87,7 @@ class SolverConfig:
             raise ValueError("iterations must be at least 1")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
+        _check_seed(self.seed)
         if not 0 <= self.hold <= self.iterations:
             raise ValueError("hold must lie in [0, iterations]")
         if self.sigma_min < 0 or self.sigma0 < self.sigma_min:

@@ -144,6 +144,9 @@ class TestBfgsPenalty:
             BaselineConfig(snapshot_stride=0)
         with pytest.raises(ValueError, match="barrier_weight"):
             BaselineConfig(barrier_weight=float("nan"))
+        for seed in (-1, 2.0, False):
+            with pytest.raises(ValueError, match="seed"):
+                BaselineConfig(seed=seed)
 
     def test_trace_schema(self):
         nlp = toy_kkt_problem()

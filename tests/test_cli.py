@@ -73,6 +73,19 @@ class TestRun:
         cfg.write_text(json.dumps({"problem": "toy_kkt", "bogus": 1}))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("solver", ["diffusion", "gd"])
+    def test_negative_seed(self, tmp_path, capsys, solver):
+        args, out = run_args(tmp_path, "--seed", "-1", "--solver", solver)
+        assert main(args) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any output
+
+    def test_config_file_bad_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "toy_kkt", "seed": 1.5}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "seed" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--problem", "toy_kkt", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -91,6 +104,11 @@ class TestSweep:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["mus"] == [0.1, 1.0, 10.0]
         assert len(summary["chains"]) == 3
+
+    def test_sweep_negative_seed(self, tmp_path, capsys):
+        args = ["sweep", "--problem", "toy_kkt", "--out", str(tmp_path / "o"), "--mus", "1", "--seed", "-2"]
+        assert main(args) == 1
+        assert "seed" in capsys.readouterr().err
 
     def test_sweep_requires_mus(self, tmp_path, capsys):
         assert main(["sweep", "--problem", "toy_kkt", "--out", str(tmp_path / "o")]) == 1

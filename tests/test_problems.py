@@ -124,6 +124,57 @@ class TestBugTrap:
         assert np.asarray(geom.goal)[0] < box[0, 0]  # goal lies outside
 
 
+def per_rectangle_penalty(p, geom):
+    """The penalty summed one rectangle at a time, as the vectorised pass must reproduce."""
+    total = 0.0
+    for rect in geom.rects:
+        sd = rect_signed_distance(p, rect)
+        total = total + ad.softplus((geom.margin - sd) / geom.smooth_len) * geom.smooth_len
+    return geom.w_obs * total
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestObstaclePenaltyVectorised:
+    geom = BugTrapGeometry()
+
+    def points(self, lead):
+        rng = np.random.default_rng(11)
+        p = rng.uniform(-2.0, 2.0, lead + (2,))
+        # centres (|.| kink), faces, corners and the far field
+        special = [r.center for r in self.geom.rects]
+        special += [(r.center[0] + r.half[0], r.center[1]) for r in self.geom.rects]
+        special += [(r.center[0] - r.half[0], r.center[1] + r.half[1]) for r in self.geom.rects]
+        special += [(50.0, -50.0)]
+        flat = p.reshape(-1, 2)
+        flat[: len(special)] = special
+        return p
+
+    def test_single_point(self):
+        for p in self.points((12,)):
+            assert same_bits(obstacle_penalty(p, self.geom), per_rectangle_penalty(p, self.geom))
+
+    def test_batch(self):
+        p = self.points((10, 60))
+        assert same_bits(obstacle_penalty(p, self.geom), per_rectangle_penalty(p, self.geom))
+
+    def test_stage_seeded_dual_batch(self):
+        # tangents as the transcribed running cost seeds them: d = nx + nu per stage
+        xs = np.concatenate([self.points((10, 60)), np.full((10, 60, 1), 0.4)], axis=-1)
+        eps = np.zeros((5,) + xs.shape)
+        for j in range(3):
+            eps[j, ..., j] = 1.0
+        p = ad.Dual(xs, eps)[..., :2]
+        new = obstacle_penalty(p, self.geom)
+        ref = per_rectangle_penalty(p, self.geom)
+        assert same_bits(new.val, ref.val)
+        assert same_bits(new.eps, ref.eps)
+        assert new.eps.shape == (5, 10, 60)
+
+
 class TestToyKkt:
     def test_cost_and_constraint(self):
         nlp = toy_kkt_problem()

@@ -66,9 +66,14 @@ class TestConfig:
             ("barrier_weight", math.nan),
             ("barrier_weight", math.inf),
             ("snapshot_stride", 0),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", True),
+            ("seed", "3"),
         ]:
             with pytest.raises(ValueError, match=field):
                 SolverConfig(**{field: value})
+        assert SolverConfig(seed=np.int64(3)).seed == 3
 
 
 class TestNoiseSchedule:
