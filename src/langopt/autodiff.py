@@ -346,38 +346,21 @@ def _check_finite(y, context):
     return y
 
 
+def _forward(f: Callable, x: np.ndarray):
+    """One forward-mode pass: ``(value, tangent-last derivative)`` of ``f`` at ``x``.
+
+    The derivative is a C-contiguous ``value.shape + (n,)`` array, or None
+    when ``f`` returned a constant. Nothing is checked for finiteness.
+    """
+    y = f(seed(x))
+    if not isinstance(y, Dual):
+        return value(y), None
+    return y.val, np.moveaxis(y.eps, 0, -1).copy()
+
+
 def gradient(f: Callable, x: np.ndarray, method: GradientMethod = Exact(), rng=None):
     """Gradient of a scalar function at ``x`` under the chosen method."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    if isinstance(method, Exact):
-        y = f(seed(x))
-        if not isinstance(y, Dual):  # constant function
-            _check_finite(y, "x")
-            return np.zeros_like(x)
-        _check_finite(y.val, "x")
-        return np.moveaxis(y.eps, 0, -1).copy()
-    if isinstance(method, FiniteDifference):
-        g = np.empty(n)
-        for i in range(n):
-            d = method.step * max(1.0, abs(x[i]))
-            e = np.zeros(n)
-            e[i] = d
-            fp = _check_finite(f(x + e), f"x + {d}*e_{i}")
-            fm = _check_finite(f(x - e), f"x - {d}*e_{i}")
-            g[i] = (fp - fm) / (2.0 * d)
-        return g
-    if isinstance(method, Smoothed):
-        rng = rng if rng is not None else np.random.default_rng(method.seed)
-        s = method.stddev
-        g = np.zeros(n)
-        for k in range(method.samples):
-            e = rng.standard_normal(n)
-            fp = _check_finite(f(x + s * e), f"x + stddev*e ({k})")
-            fm = _check_finite(f(x - s * e), f"x - stddev*e ({k})")
-            g += (fp - fm) / (2.0 * s) * e
-        return g / method.samples
-    raise TypeError(f"unknown gradient method: {method!r}")
+    return jacobian(f, x, method, rng)
 
 
 def jacobian(h: Callable, x: np.ndarray, method: GradientMethod = Exact(), rng=None):
@@ -385,12 +368,9 @@ def jacobian(h: Callable, x: np.ndarray, method: GradientMethod = Exact(), rng=N
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     if isinstance(method, Exact):
-        y = h(seed(x))
-        if not isinstance(y, Dual):
-            y = _check_finite(y, "x")
-            return np.zeros(y.shape + (n,))
-        _check_finite(y.val, "x")
-        return np.moveaxis(y.eps, 0, -1).copy()
+        y, J = _forward(h, x)
+        y = _check_finite(y, "x")
+        return np.zeros(y.shape + (n,)) if J is None else J
     if isinstance(method, FiniteDifference):
         cols = []
         for i in range(n):
@@ -404,14 +384,12 @@ def jacobian(h: Callable, x: np.ndarray, method: GradientMethod = Exact(), rng=N
     if isinstance(method, Smoothed):
         rng = rng if rng is not None else np.random.default_rng(method.seed)
         s = method.stddev
-        acc = None
+        acc = 0.0
         for k in range(method.samples):
             e = rng.standard_normal(n)
             hp = _check_finite(h(x + s * e), f"x + stddev*e ({k})")
             hm = _check_finite(h(x - s * e), f"x - stddev*e ({k})")
-            d = (hp - hm) / (2.0 * s)
-            term = np.multiply.outer(d, e)
-            acc = term if acc is None else acc + term
+            acc = acc + np.multiply.outer((hp - hm) / (2.0 * s), e)
         return acc / method.samples
     raise TypeError(f"unknown gradient method: {method!r}")
 

@@ -36,11 +36,6 @@ class BfgsOptions:
     c1: float = 1e-4  # Armijo constant
     backtrack: float = 0.5
     max_ls: int = 30
-    hessian: str = "full"  # dense inverse-Hessian only; problems are small
-
-    def __post_init__(self):
-        if self.hessian != "full":
-            raise ValueError("only the full (dense) BFGS approximation is supported")
 
 
 @dataclass

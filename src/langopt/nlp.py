@@ -9,7 +9,7 @@ feasibility is only required at convergence, not at every iterate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -143,8 +143,12 @@ class NlpProblem:
 
     ``cost`` maps ``(..., n) -> (...,)`` and ``constraints`` maps
     ``(..., n) -> (..., m)``; both must broadcast over leading axes and accept
-    Dual inputs. Derivative callables are optional; missing ones are filled in
-    with dual-number forward mode on the plain callables.
+    Dual inputs. The solvers read derivatives only through two oracles:
+    ``cost_and_gradient(x) -> (c, grad c)`` and
+    ``constraints_with_vjp(x) -> (h, vjp)`` with ``vjp(w) = J(x)^T w``. Either
+    may be omitted; a missing one is filled in with one dual-number
+    forward-mode pass over the plain callable. A dense Jacobian is
+    ``vjp(np.eye(m))`` or :func:`langopt.autodiff.jacobian` of ``constraints``.
     """
 
     n: int
@@ -155,8 +159,6 @@ class NlpProblem:
     upper: Optional[np.ndarray] = None
     cost_and_gradient: Callable = None
     constraints_with_vjp: Callable = None
-    jacobian_fn: Callable = None
-    layout: Optional[Layout] = None
 
     def __post_init__(self):
         self.lower = _as_bound(self.lower, self.n, -np.inf)
@@ -168,48 +170,26 @@ class NlpProblem:
             raise ValueError("constraint dimension must be non-negative")
         if self.cost_and_gradient is None:
             self.cost_and_gradient = self._generic_cost_and_gradient
-        if self.jacobian_fn is None:
-            self.jacobian_fn = self._generic_jacobian
         if self.constraints_with_vjp is None:
             self.constraints_with_vjp = self._generic_constraints_with_vjp
 
     # -- generic dual-number fallbacks ---------------------------------
 
     def _generic_cost_and_gradient(self, x):
-        y = self.cost(ad.seed(x))
-        if not isinstance(y, ad.Dual):
-            return np.asarray(y, dtype=float), np.zeros_like(np.asarray(x, dtype=float))
-        return y.val, np.moveaxis(y.eps, 0, -1).copy()
-
-    def _generic_jacobian(self, x):
         x = np.asarray(x, dtype=float)
-        if self.m == 0:
-            return np.zeros(x.shape[:-1] + (0, self.n))
-        y = self.constraints(ad.seed(x))
-        if not isinstance(y, ad.Dual):
-            return np.zeros(x.shape[:-1] + (self.m, self.n))
-        return np.moveaxis(y.eps, 0, -1).copy()
+        c, g = ad._forward(self.cost, x)
+        return c, np.zeros_like(x) if g is None else g
 
     def _generic_constraints_with_vjp(self, x):
-        if self.m == 0:
-            h = np.zeros(np.asarray(x).shape[:-1] + (0,))
-            return h, lambda w: np.zeros_like(np.asarray(x, dtype=float))
-        J = self.jacobian_fn(x)
-        y = self.constraints(x)
-        h = ad.value(y)
+        x = np.asarray(x, dtype=float)
+        h, J = ad._forward(self.constraints, x)
+        if J is None:
+            J = np.zeros(h.shape + x.shape[-1:])
 
         def vjp(w):
             return np.einsum("...ij,...i->...j", J, w)
 
         return h, vjp
-
-    # -- convenience wrappers ------------------------------------------
-
-    def cost_gradient(self, x):
-        return self.cost_and_gradient(x)[1]
-
-    def jacobian(self, x):
-        return self.jacobian_fn(x)
 
     def constraint_violation(self, x):
         """Squared 2-norm of the constraint residual."""
@@ -253,7 +233,6 @@ def transcribe(ocp: OcpDefinition) -> NlpProblem:
     """
     layout = Layout(K=ocp.K, nx=ocp.nx, nu=ocp.nu)
     K, nx, nu = layout.K, layout.nx, layout.nu
-    n, m = layout.n, layout.m
     d = nx + nu  # per-stage tangent dimension for structured derivatives
 
     def stage_seeds(xs, U):
@@ -319,29 +298,16 @@ def transcribe(ocp: OcpDefinition) -> NlpProblem:
 
         return h, vjp
 
-    def jacobian_fn(z):
-        z = np.asarray(z, dtype=float)
-        if z.ndim > 1:
-            return np.stack([jacobian_fn(zi) for zi in z])
-        _, vjp = constraints_with_vjp(z)
-        # assemble rows via unit co-tangents; m is small at desk scale
-        J = np.zeros((m, n))
-        W = np.eye(m)
-        J[:] = vjp(W)
-        return J
-
     lower = np.concatenate([np.tile(ocp.u_lower, K), np.tile(ocp.x_lower, K + 1)])
     upper = np.concatenate([np.tile(ocp.u_upper, K), np.tile(ocp.x_upper, K + 1)])
 
     return NlpProblem(
-        n=n,
-        m=m,
+        n=layout.n,
+        m=layout.m,
         cost=cost,
         constraints=constraints,
         lower=lower,
         upper=upper,
         cost_and_gradient=cost_and_gradient,
         constraints_with_vjp=constraints_with_vjp,
-        jacobian_fn=jacobian_fn,
-        layout=layout,
     )

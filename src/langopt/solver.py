@@ -17,12 +17,12 @@ large batch solves tractable without native code.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -56,7 +56,9 @@ class SolverConfig:
     """Hyperparameters of the diffusion solver.
 
     ``gamma=None`` picks the geometric decay rate so that the noise level
-    reaches ``sigma_min`` at 80% of the post-hold iteration budget. ``hold``
+    reaches ``sigma_min`` at 80% of the post-hold iteration budget; the rate
+    is derived when the schedule is evaluated, so a config copied with
+    ``dataclasses.replace`` follows its own budget. ``hold``
     keeps the noise at ``sigma0`` for that many iterations before the decay
     starts; problems with deep spurious minima need the plateau to give
     barrier crossings time to happen (the crossing rate at fixed sigma is
@@ -94,13 +96,7 @@ class SolverConfig:
             raise ValueError("need sigma0 >= sigma_min >= 0")
         if self.barrier_weight < 0:
             raise ValueError("barrier_weight must be non-negative")
-        if self.gamma is None:
-            if self.sigma_min > 0 and self.sigma0 > self.sigma_min:
-                horizon = max(1.0, 0.8 * (self.iterations - self.hold))
-                self.gamma = float((self.sigma_min / self.sigma0) ** (1.0 / horizon))
-            else:
-                self.gamma = 1.0
-        if not 0 < self.gamma <= 1:
+        if self.gamma is not None and not 0 < self.gamma <= 1:
             raise ValueError("gamma must lie in (0, 1]")
 
 
@@ -112,6 +108,16 @@ class ChainState:
     lam: np.ndarray
     iter: int = 0
     sigma: float = 0.0
+
+
+@contextmanager
+def _writable(path_or_file):
+    """A text file to write to: a path is opened (and closed after), a file object is used as is."""
+    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
+        with open(path_or_file, "w") as f:
+            yield f
+    else:
+        yield path_or_file
 
 
 @dataclass
@@ -131,31 +137,21 @@ class Trace:
 
     def to_csv(self, path_or_file) -> None:
         """Write the trace with header ``iter,cost,hsq,energy,sigma``."""
-        own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-        f = open(path_or_file, "w") if own else path_or_file
-        try:
+        with _writable(path_or_file) as f:
             f.write("iter,cost,hsq,energy,sigma\n")
             for i in range(len(self.iters)):
                 f.write(
                     f"{int(self.iters[i])},{float(self.cost[i])!r},{float(self.hsq[i])!r},"
                     f"{float(self.energy[i])!r},{float(self.sigma[i])!r}\n"
                 )
-        finally:
-            if own:
-                f.close()
 
     def snapshots_to_csv(self, path_or_file) -> None:
-        own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-        f = open(path_or_file, "w") if own else path_or_file
-        try:
+        with _writable(path_or_file) as f:
             ncols = self.snapshots.shape[1] if self.snapshots.size else 0
             f.write("iter," + ",".join(f"v{j}" for j in range(ncols)) + "\n")
             for i in range(len(self.snapshot_iters)):
                 row = ",".join(repr(float(v)) for v in self.snapshots[i])
                 f.write(f"{int(self.snapshot_iters[i])},{row}\n")
-        finally:
-            if own:
-                f.close()
 
 
 @dataclass
@@ -173,7 +169,7 @@ class Solution:
     message: str = "ok"
 
     def summary(self) -> dict:
-        cfg = {k: v for k, v in self.config.__dict__.items()}
+        cfg = {**self.config.__dict__, "gamma": _decay_rate(self.config)}  # the rate used
         return {
             "xbar": [float(v) for v in self.xbar],
             "lambda": [float(v) for v in self.lam],
@@ -186,13 +182,8 @@ class Solution:
         }
 
     def to_json(self, path_or_file) -> None:
-        own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-        f = open(path_or_file, "w") if own else path_or_file
-        try:
+        with _writable(path_or_file) as f:
             json.dump(self.summary(), f, indent=2)
-        finally:
-            if own:
-                f.close()
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +191,22 @@ class Solution:
 # ---------------------------------------------------------------------------
 
 
+def _decay_rate(config: SolverConfig) -> float:
+    """``config.gamma``, or the rate that reaches sigma_min at 80% of the post-hold budget."""
+    if config.gamma is not None:
+        return config.gamma
+    if config.sigma_min > 0 and config.sigma0 > config.sigma_min:
+        horizon = max(1.0, 0.8 * (config.iterations - config.hold))
+        return float((config.sigma_min / config.sigma0) ** (1.0 / horizon))
+    return 1.0
+
+
 def noise_schedule(it: int, config: SolverConfig) -> float:
     """Plateau at sigma0 for ``hold`` iterations, then geometric decay to a floor."""
     if it < 0:
         raise ValueError("iteration index must be non-negative")
     it = max(0, it - config.hold)
-    return max(config.sigma0 * config.gamma**it, config.sigma_min)
+    return max(config.sigma0 * _decay_rate(config) ** it, config.sigma_min)
 
 
 def barrier_gradient(x, lower, upper):
@@ -233,10 +234,16 @@ def barrier_value(x, lower, upper):
     return terms
 
 
+def _merit(nlp: NlpProblem, X, Lam, mu: float):
+    """Cost, constraint residual and merit gradient ``grad c + J^T (lam + mu h)`` at ``X``."""
+    h, vjp = nlp.constraints_with_vjp(X)
+    c, cg = nlp.cost_and_gradient(X)
+    return c, h, cg + vjp(Lam + mu * h)
+
+
 def drift(nlp: NlpProblem, xbar, lam, mu: float, barrier_weight: float = 0.0):
     """Drift of the decision variables: gradient of the augmented-Lagrangian merit."""
-    h, vjp = nlp.constraints_with_vjp(xbar)
-    g = nlp.cost_gradient(xbar) + vjp(lam + mu * h)
+    g = _merit(nlp, xbar, lam, mu)[2]
     if barrier_weight > 0:
         g = g + barrier_weight * barrier_gradient(xbar, nlp.lower, nlp.upper)
     return g
@@ -244,9 +251,8 @@ def drift(nlp: NlpProblem, xbar, lam, mu: float, barrier_weight: float = 0.0):
 
 def energy(nlp: NlpProblem, xbar, lam, mu: float) -> float:
     """Diagnostic energy 1/2 ||v||^2 + 1/2 ||h||^2; zero exactly at KKT points."""
-    h, vjp = nlp.constraints_with_vjp(xbar)
-    v = nlp.cost_gradient(xbar) + vjp(lam + mu * h)
-    return float(np.sum(v * v, axis=-1) / 2.0 + np.sum(h * h, axis=-1) / 2.0)
+    _, h, v = _merit(nlp, xbar, lam, mu)
+    return float(0.5 * np.sum(v * v, axis=-1) + 0.5 * np.sum(h * h, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +287,7 @@ def _advance(nlp, X, Lam, it, config, rngs, active):
     beta = config.barrier_weight
     sigma = noise_schedule(it, config)
 
-    h, vjp = nlp.constraints_with_vjp(X)
-    c, cg = nlp.cost_and_gradient(X)
-    v = cg + vjp(Lam + mu * h)
+    c, h, v = _merit(nlp, X, Lam, mu)
     g = v
     if beta > 0:
         g = g + beta * barrier_gradient(X, nlp.lower, nlp.upper)

@@ -216,7 +216,7 @@ def interior_points(nlp, n_points, spread, seed):
 
 
 def jac_rel_error(nlp, x):
-    J = nlp.jacobian(x)
+    J = nlp.constraints_with_vjp(x)[1](np.eye(nlp.m))
     J_fd = jacobian(nlp.constraints, x, FiniteDifference())
     num = np.max(np.abs(J - J_fd), axis=1)
     den = np.maximum(1.0, np.max(np.abs(J), axis=1))

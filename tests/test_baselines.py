@@ -4,7 +4,6 @@ import pytest
 import langopt.autodiff as ad
 from langopt import (
     BaselineConfig,
-    BfgsOptions,
     NlpProblem,
     SolverConfig,
     bfgs_penalty,
@@ -136,8 +135,6 @@ class TestBfgsPenalty:
             bfgs_penalty(nlp, np.array([2.0]), BaselineConfig())
 
     def test_options_validation(self):
-        with pytest.raises(ValueError):
-            BfgsOptions(hessian="lbfgs")
         with pytest.raises(ValueError):
             BaselineConfig(alpha=-0.1)
         with pytest.raises(ValueError, match="snapshot_stride"):

@@ -7,6 +7,7 @@ import langopt.autodiff as ad
 from langopt import (
     DecisionVector,
     Layout,
+    NlpProblem,
     OcpDefinition,
     pack,
     rollout,
@@ -161,6 +162,39 @@ class TestTranscribedVjp:
         for z, w, gi in zip(Z, W, g):
             ref = ad.jacobian(nlp.constraints, z, ad.Exact()).T @ w
             assert np.max(np.abs(gi - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_generic_oracles_match(self, problem, batched):
+        """Oracles derived from ``cost``/``constraints`` alone, in one dual pass each."""
+        nlp, Z, W = self.points(problem)
+        z, w = (Z, W) if batched else (Z[0], W[0])
+        calls = []
+
+        def constraints(x):
+            calls.append(type(x))
+            return nlp.constraints(x)
+
+        generic = NlpProblem(nlp.n, nlp.m, nlp.cost, constraints, nlp.lower, nlp.upper)
+        h, vjp = generic.constraints_with_vjp(z)
+        assert calls == [ad.Dual]
+        h_ref, vjp_ref = nlp.constraints_with_vjp(z)
+        assert h.shape == h_ref.shape and h.tobytes() == h_ref.tobytes()
+        ref = vjp_ref(w)
+        assert np.max(np.abs(vjp(w) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        c, g = generic.cost_and_gradient(z)
+        c_ref, g_ref = nlp.cost_and_gradient(z)
+        assert np.allclose(c, c_ref, rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
+
+def test_generic_oracles_without_constraints():
+    nlp = NlpProblem(n=2, m=0, cost=lambda x: ad.asum(x * x, axis=-1), constraints=lambda x: x[..., :0])
+    x = np.array([[1.0, -2.0], [0.5, 3.0]])
+    h, vjp = nlp.constraints_with_vjp(x)
+    assert h.shape == (2, 0)
+    assert vjp(np.zeros((2, 0))).tobytes() == np.zeros((2, 2)).tobytes()
+    c, g = nlp.cost_and_gradient(x)
+    assert np.array_equal(c, [5.0, 9.25]) and np.array_equal(g, 2.0 * x)
 
 
 class TestRollout:

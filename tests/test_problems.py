@@ -185,7 +185,9 @@ class TestToyKkt:
     def test_kkt_stationarity(self):
         nlp = toy_kkt_problem()
         x = np.array([0.5, 0.5])
-        g = nlp.cost_gradient(x) + nlp.jacobian(x).T @ np.array([-0.5])
+        _, cg = nlp.cost_and_gradient(x)
+        _, vjp = nlp.constraints_with_vjp(x)
+        g = cg + vjp(np.array([-0.5]))
         assert np.allclose(g, 0.0, atol=1e-15)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -41,7 +42,16 @@ class TestConfig:
     def test_default_gamma_hits_floor_at_80pct(self):
         cfg = SolverConfig(iterations=1000)
         # sigma0 * gamma^(0.8 T) == sigma_min
-        assert cfg.sigma0 * cfg.gamma**800 == pytest.approx(cfg.sigma_min, rel=1e-9)
+        assert noise_schedule(800, cfg) == pytest.approx(cfg.sigma_min, rel=1e-9)
+
+    def test_replaced_config_derives_its_own_rate(self):
+        fresh = SolverConfig(iterations=1000, hold=100)
+        replaced = dataclasses.replace(SolverConfig(), iterations=1000, hold=100)
+        its = range(0, 1000, 7)
+        assert [noise_schedule(i, replaced) for i in its] == [noise_schedule(i, fresh) for i in its]
+        sol = solve(toy_kkt_problem(), np.ones(2), config=replaced)
+        # summary.json reports the rate the run used: the floor at 80% of the 900 post-hold steps
+        assert sol.summary()["config"]["gamma"] == pytest.approx((1e-4 / 0.1) ** (1 / 720), rel=1e-12)
 
     def test_explicit_gamma_kept(self):
         cfg = SolverConfig(gamma=0.5)
@@ -150,6 +160,24 @@ class TestDriftAndEnergy:
         rng = np.random.default_rng(0)
         for _ in range(20):
             assert energy(nlp, rng.standard_normal(2), rng.standard_normal(1), 10.0) >= 0.0
+
+
+@pytest.mark.parametrize("problem", ["pendulum", "bugtrap"])
+def test_diagnostics_are_the_kernel_math(problem):
+    """``energy`` and ``drift`` give the bytes the stepping kernel uses at sigma = 0."""
+    bundle = get_problem(problem)
+    nlp = bundle.nlp
+    rng = np.random.default_rng(4)
+    X = np.stack([bundle.guess(rng) for _ in range(3)])
+    Lam = rng.standard_normal((3, nlp.m))
+    cfg = SolverConfig(sigma0=0.0, sigma_min=0.0, iterations=1)
+    Xn, _, diag, failures = _advance(nlp, X, Lam, 0, cfg, [None] * 3, np.ones(3, dtype=bool))
+    assert not failures
+    d = drift(nlp, X, Lam, cfg.mu, cfg.barrier_weight)
+    assert (X - 0.5 * cfg.alpha * d).tobytes() == Xn.tobytes()
+    for j in range(3):
+        e = energy(nlp, X[j], Lam[j], cfg.mu)
+        assert np.float64(e).tobytes() == diag["energy"][j].tobytes()
 
 
 class TestBarrier:
