@@ -9,13 +9,14 @@ long enough for crossings, tapered to 0.8 so the basin statistics settle on
 the escaped side, and only then annealed cold from 0.3 -- jumping over the
 intermediate band where escaped chains tend to fall back in.
 
-Runs gradient descent, BFGS, and the two-phase diffusion pipeline from the
-same guesses and reports where each one's final trajectory ends up.
+Runs gradient descent, BFGS, and the problem's two-phase diffusion schedule
+(``bundle.phases``) from the same guesses and reports where each one's final
+trajectory ends up.
 """
 
 import numpy as np
 
-from langopt import SolverConfig, solve_batch
+from langopt import solve_batch
 from langopt.baselines import BaselineConfig, bfgs_penalty, gradient_descent_cdo
 from langopt.nlp import DecisionVector, Layout, unpack
 from langopt.problems import BugTrapGeometry, get_problem, trap_bounding_box
@@ -58,15 +59,7 @@ for name, runner in (
         print(f"  seed {s}: final ({p[0]:+.2f}, {p[1]:+.2f})  {describe(p)}")
 
 print("diffusion (hot hold + taper, then cold anneal):")
-taper = SolverConfig(
-    seed=0, sigma0=1.5, hold=10000, iterations=25000,
-    gamma=(0.8 / 1.5) ** (1.0 / 15000.0), sigma_min=0.8,
-)
-held = solve_batch(bundle.nlp, guesses, taper)
-anneal = SolverConfig(seed=1, sigma0=0.3, iterations=20000)
-sols = solve_batch(
-    bundle.nlp, [h.xbar for h in held], anneal, lambda0s=[h.lam for h in held]
-)
+sols = solve_batch(bundle.nlp, guesses, bundle.phases)
 for s, sol in enumerate(sols):
     p = final_position(sol)
     print(f"  seed {s}: final ({p[0]:+.2f}, {p[1]:+.2f})  {describe(p)}")

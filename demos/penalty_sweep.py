@@ -1,6 +1,7 @@
 """How the penalty parameter controls convergence to dynamic feasibility.
 
-Sweeps mu over four decades on the pendulum, from a shared initial guess.
+Sweeps mu over four decades on the pendulum, from a shared initial guess,
+running the problem's schedule (anneal, then polish) with mu set in both phases.
 The multiplier update rate is alpha * mu, so small mu leaves the multipliers
 (and therefore the dynamics defects) essentially frozen: the lowest value
 never becomes feasible, while moderate values all converge.
@@ -8,23 +9,22 @@ never becomes feasible, while moderate values all converge.
 Writes sweep rows to penalty_sweep.csv (mu,iter,hsq).
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from langopt import SolverConfig, solve
-from langopt.problems import PENDULUM_GUESS_BOX, get_problem
-from langopt.solver import trajectory_guess
+from langopt import solve
+from langopt.problems import get_problem
 
 MUS = (0.01, 0.1, 1.0, 10.0)
 
 bundle = get_problem("pendulum")
-x0 = trajectory_guess(bundle.ocp, PENDULUM_GUESS_BOX, np.random.default_rng([0, 0xA5]))
+x0 = bundle.guess(np.random.default_rng([0, 0xA5]))
 
 rows = []
 print(f"{'mu':>6} {'final ||h||^2':>14}")
 for mu in MUS:
-    annealed = solve(bundle.nlp, x0, config=SolverConfig(seed=0, mu=mu))
-    polish = SolverConfig(seed=0, mu=mu, alpha=0.03, sigma0=0.0, sigma_min=0.0, iterations=60000)
-    sol = solve(bundle.nlp, annealed.xbar, annealed.lam, polish)
+    sol = solve(bundle.nlp, x0, config=[replace(p, mu=mu) for p in bundle.phases])
     print(f"{mu:>6} {sol.hsq:>14.3e}")
     for it, hsq in zip(sol.trace.iters, sol.trace.hsq):
         rows.append((mu, int(it), float(hsq)))

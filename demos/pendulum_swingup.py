@@ -1,7 +1,8 @@
 """Pendulum swingup with the annealed diffusion solver.
 
 Starts from a deliberately infeasible, scattered guess (states drawn uniformly
-over a box, controls at zero) and runs two phases:
+over a box, controls at zero) and runs the problem's two-phase schedule,
+``bundle.phases``:
 
   1. annealed diffusion with the default noise schedule, which finds the
      basin of a good swingup trajectory while ignoring fine feasibility;
@@ -15,24 +16,20 @@ pendulum_trace.csv for plotting.
 
 import numpy as np
 
-from langopt import SolverConfig, solve
+from langopt import solve
 from langopt.nlp import DecisionVector, Layout, rollout, unpack
-from langopt.problems import PENDULUM_GUESS_BOX, get_problem
-from langopt.solver import trajectory_guess
+from langopt.problems import get_problem
 
 bundle = get_problem("pendulum")
 ocp = bundle.ocp
-rng = np.random.default_rng(0)
-x0 = trajectory_guess(ocp, PENDULUM_GUESS_BOX, rng)
+x0 = bundle.guess(np.random.default_rng(0))
 print(f"initial guess: ||h||^2 = {bundle.nlp.constraint_violation(x0):.3f} (infeasible)")
 
-# phase 1: anneal
-annealed = solve(bundle.nlp, x0, config=SolverConfig(seed=0))
-print(f"after anneal:  ||h||^2 = {annealed.hsq:.2e}, cost = {annealed.cost:.3f}")
-
-# phase 2: deterministic polish, multipliers carried over
-polish_cfg = SolverConfig(seed=0, alpha=0.03, sigma0=0.0, sigma_min=0.0, iterations=60000)
-sol = solve(bundle.nlp, annealed.xbar, annealed.lam, polish_cfg)
+sol = solve(bundle.nlp, x0, config=bundle.phases)
+# the trace runs through both phases; the polish's first record is the annealed point
+polish_start = bundle.phases[0].iterations
+print(f"after anneal:  ||h||^2 = {sol.trace.hsq[polish_start]:.2e}, "
+      f"cost = {sol.trace.cost[polish_start]:.3f}")
 print(f"after polish:  ||h||^2 = {sol.hsq:.2e}, cost = {sol.cost:.3f}")
 
 layout = Layout(ocp.K, ocp.nx, ocp.nu)

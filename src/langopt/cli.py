@@ -1,7 +1,10 @@
 """Command-line front end: run single/batch solves and penalty sweeps, write CSV/JSON.
 
-Configuration can come from a JSON file (``--config``) whose keys mirror the
-flag names; explicit flags win over the file. Outputs:
+Every key in ``KEYS`` can be given as a flag (``_`` spelled ``-``) or in a
+JSON file (``--config``); explicit flags win over the file. The
+diffusion solver runs the problem's schedule (``ProblemBundle.phases``): a
+key that names a config field sets that field in every phase, and ``seed``
+is added to each phase's seed (it also seeds the initial guesses). Outputs:
 
   run:   trace_<i>.csv, snapshots_<i>.csv, summary.json
   sweep: sweep.csv (columns mu,iter,hsq), summary.json
@@ -16,34 +19,36 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import BaselineConfig, bfgs_penalty, gradient_descent_cdo
 from .problems import PROBLEMS, get_problem
-from .solver import SolverConfig, _check_seed, solve_batch
+from .solver import _check_seed, solve_batch
 
 SOLVERS = ("diffusion", "gd", "bfgs")
 
-_CONFIG_KEYS = (
-    "problem",
-    "solver",
-    "mu",
-    "alpha",
-    "sigma0",
-    "gamma",
-    "iters",
-    "hold",
-    "batch",
-    "seed",
-    "threads",
-    "out",
-    "stride",
-    "barrier_weight",
-    "mus",
-)
+# key -> (flag type, the config field it sets, or None for a key read by the front end)
+KEYS = {
+    "problem": (str, None),
+    "solver": (str, None),
+    "mu": (float, "mu"),
+    "alpha": (float, "alpha"),
+    "sigma0": (float, "sigma0"),
+    "gamma": (float, "gamma"),
+    "iters": (int, "iterations"),
+    "hold": (int, "hold"),
+    "batch": (int, None),
+    "seed": (int, None),
+    "threads": (int, None),
+    "out": (str, None),
+    "stride": (int, "snapshot_stride"),
+    "barrier_weight": (float, "barrier_weight"),
+    "mus": (str, None),  # sweep only: comma-separated penalty values
+}
+_DEFAULTS = {"solver": "diffusion", "batch": 1, "seed": 0, "threads": 1, "out": "out"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,79 +59,36 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, help_ in (("run", "solve a problem"), ("sweep", "penalty-parameter sweep")):
         sp = sub.add_parser(name, help=help_)
-        sp.add_argument("--problem", type=str, default=None)
-        sp.add_argument("--solver", type=str, default=None)
-        sp.add_argument("--mu", type=float, default=None)
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--sigma0", type=float, default=None)
-        sp.add_argument("--gamma", type=float, default=None)
-        sp.add_argument("--iters", type=int, default=None)
-        sp.add_argument("--batch", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--stride", type=int, default=None)
-        sp.add_argument("--barrier-weight", dest="barrier_weight", type=float, default=None)
+        for key, (type_, _) in KEYS.items():
+            if key != "mus" or name == "sweep":
+                sp.add_argument("--" + key.replace("_", "-"), dest=key, type=type_)
         sp.add_argument("--config", type=str, default=None, help="JSON config file")
-        if name == "sweep":
-            sp.add_argument(
-                "--mus", type=str, default=None, help="comma-separated penalty values"
-            )
     return p
 
 
 def _merge_config(args) -> dict:
-    cfg = {
-        "problem": None,
-        "solver": "diffusion",
-        "batch": 1,
-        "seed": 0,
-        "threads": 1,
-        "out": "out",
-        "stride": 100,
-        "mus": None,
-    }
+    cfg = dict(_DEFAULTS)
     if args.config is not None:
         with open(args.config) as f:
             file_cfg = json.load(f)
-        unknown = set(file_cfg) - set(_CONFIG_KEYS)
+        unknown = set(file_cfg) - set(KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
-    for key in _CONFIG_KEYS:
+    for key in KEYS:
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
     return cfg
 
 
-def _solver_config(cfg: dict) -> SolverConfig:
-    kwargs = {"seed": int(cfg["seed"]), "snapshot_stride": int(cfg["stride"])}
-    for src, dst in (
-        ("mu", "mu"),
-        ("alpha", "alpha"),
-        ("sigma0", "sigma0"),
-        ("gamma", "gamma"),
-        ("iters", "iterations"),
-        ("hold", "hold"),
-        ("barrier_weight", "barrier_weight"),
-    ):
-        if cfg.get(src) is not None:
-            kwargs[dst] = cfg[src]
-    return SolverConfig(**kwargs)
-
-
-def _baseline_config(cfg: dict) -> BaselineConfig:
-    kwargs = {"seed": int(cfg["seed"]), "snapshot_stride": int(cfg["stride"])}
-    for src, dst in (
-        ("mu", "mu"),
-        ("alpha", "alpha"),
-        ("iters", "iterations"),
-        ("barrier_weight", "barrier_weight"),
-    ):
-        if cfg.get(src) is not None:
-            kwargs[dst] = cfg[src]
-    return BaselineConfig(**kwargs)
+def _with_keys(config, cfg: dict):
+    """``config`` with every set key that names one of its fields applied and its seed offset."""
+    names = {f.name for f in fields(config)}
+    kwargs = {
+        f: cfg[key] for key, (_, f) in KEYS.items() if f in names and cfg.get(key) is not None
+    }
+    return replace(config, **kwargs, seed=config.seed + cfg["seed"])
 
 
 def _guesses(bundle, n, seed):
@@ -134,34 +96,25 @@ def _guesses(bundle, n, seed):
     return [bundle.guess(np.random.default_rng([int(seed) + i, 0xA5])) for i in range(n)]
 
 
-def _apply_overrides(cfg: dict, bundle) -> dict:
-    out = dict(cfg)
-    for key, val in bundle.config_overrides.items():
-        flag = {"iterations": "iters"}.get(key, key)
-        if out.get(flag) is None:
-            out[flag] = val
-    return out
-
-
 def _run_solver(bundle, cfg: dict, x0s):
-    name = cfg["solver"]
-    if name == "diffusion":
-        sc = _solver_config(cfg)
-        return solve_batch(bundle.nlp, x0s, sc, threads=int(cfg["threads"]))
-    bc = _baseline_config(cfg)
+    """The configs run (the bundle's schedule, or one baseline config) and each chain's Solution."""
+    if cfg["solver"] == "diffusion":
+        phases = [_with_keys(p, cfg) for p in bundle.phases]
+        return phases, solve_batch(bundle.nlp, x0s, phases, threads=int(cfg["threads"]))
+    bc = _with_keys(BaselineConfig(), cfg)
     sols = []
     for i, x0 in enumerate(x0s):
-        bc_i = BaselineConfig(**{**bc.__dict__, "seed": bc.seed + i})
-        if name == "gd":
+        bc_i = replace(bc, seed=bc.seed + i)
+        if cfg["solver"] == "gd":
             sols.append(gradient_descent_cdo(bundle.nlp, x0, None, bc_i))
         else:
             sols.append(bfgs_penalty(bundle.nlp, x0, bc_i))
-    return sols
+    return [bc], sols
 
 
 def _validate(cfg: dict) -> str | None:
-    if cfg["problem"] not in PROBLEMS:
-        return f"unknown problem {cfg['problem']!r}; valid problems: {sorted(PROBLEMS)}"
+    if cfg.get("problem") not in PROBLEMS:
+        return f"unknown problem {cfg.get('problem')!r}; valid problems: {sorted(PROBLEMS)}"
     if cfg["solver"] not in SOLVERS:
         return f"unknown solver {cfg['solver']!r}; valid solvers: {list(SOLVERS)}"
     if int(cfg["batch"]) < 1:
@@ -180,14 +133,13 @@ def cmd_run(args) -> int:
         print(err, file=sys.stderr)
         return 1
     bundle = get_problem(cfg["problem"])
-    cfg = _apply_overrides(cfg, bundle)
     n = int(cfg["batch"])
     x0s = _guesses(bundle, n, cfg["seed"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    sols = _run_solver(bundle, cfg, x0s)
+    configs, sols = _run_solver(bundle, cfg, x0s)
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     for i, sol in enumerate(sols):
@@ -197,6 +149,7 @@ def cmd_run(args) -> int:
         "problem": cfg["problem"],
         "solver": cfg["solver"],
         "batch": n,
+        "phases": [asdict(c) for c in configs],
         "wall_ms": wall_ms,
         "timing_note": "wall-clock times are hardware-dependent and not an acceptance criterion",
         "chains": [sol.summary() for sol in sols],
@@ -226,7 +179,6 @@ def cmd_sweep(args) -> int:
         print("sweep requires a non-empty --mus list", file=sys.stderr)
         return 1
     bundle = get_problem(cfg["problem"])
-    cfg = _apply_overrides(cfg, bundle)
     x0 = _guesses(bundle, 1, cfg["seed"])[0]  # shared across all mu values
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -237,8 +189,7 @@ def cmd_sweep(args) -> int:
     status = 0
     for mu in mus:
         cfg_mu = {**cfg, "mu": mu}
-        sols = _run_solver(bundle, cfg_mu, [x0])
-        sol = sols[0]
+        (sol,) = _run_solver(bundle, cfg_mu, [x0])[1]
         if not sol.success:
             status = 2
         for it, hsq in zip(sol.trace.iters, sol.trace.hsq):
@@ -266,8 +217,10 @@ def cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a bad flag, but 2 here means a chain failed
+        return 1 if exc.code else 0
     try:
         if args.command == "run":
             return cmd_run(args)

@@ -266,12 +266,13 @@ def transcribe(ocp: OcpDefinition) -> NlpProblem:
         z = np.asarray(z, dtype=float)
         U, X = split(z, layout)
         lc = ocp.running_cost(*stage_seeds(X[..., :K, :], U))
-        term = ocp.terminal_cost(ad.seed(X[..., K, :]))
-        val = lc.val.sum(axis=-1) + term.val
+        term, term_grad = ad._forward(ocp.terminal_cost, X[..., K, :])  # None if constant
+        val = lc.val.sum(axis=-1) + term
         lc_eps = np.moveaxis(lc.eps, 0, -1)  # (..., K, d), tangent-last view
         gx = np.zeros(X.shape)
         gx[..., :K, :] = lc_eps[..., :nx]
-        gx[..., K, :] += np.moveaxis(term.eps, 0, -1)
+        if term_grad is not None:
+            gx[..., K, :] += term_grad
         gu = lc_eps[..., nx:]
         return val, join(gu, gx, layout)
 

@@ -7,13 +7,14 @@ dual-number arrays used for differentiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .nlp import NlpProblem, OcpDefinition, transcribe
+from .solver import SolverConfig, trajectory_guess
 
 
 # ---------------------------------------------------------------------------
@@ -258,44 +259,52 @@ TOY_KKT_SOLUTION = (np.array([0.5, 0.5]), np.array([-0.5]))
 
 @dataclass
 class ProblemBundle:
-    """A named problem plus everything a front end needs to run it."""
+    """A named problem plus everything a front end needs to run it.
+
+    ``phases`` is the problem's verified schedule, the noise recipe that
+    ``solve_batch(bundle.nlp, x0s, bundle.phases)`` runs.
+    """
 
     name: str
     nlp: NlpProblem
     ocp: Optional[OcpDefinition]
     guess: Callable  # rng -> x0
-    config_overrides: dict = field(default_factory=dict)
+    phases: Tuple[SolverConfig, ...]
 
 
 def _pendulum_bundle() -> ProblemBundle:
     ocp = pendulum_ocp()
-    from .solver import trajectory_guess
-
     return ProblemBundle(
         name="pendulum",
         nlp=transcribe(ocp),
         ocp=ocp,
         guess=lambda rng: trajectory_guess(ocp, PENDULUM_GUESS_BOX, rng),
+        # the anneal finds the swingup's basin but plateaus near ||h||^2 ~ 1e-4;
+        # the zero-noise polish, multipliers carried over, drives it to ~1e-8
+        phases=(
+            SolverConfig(seed=0),
+            SolverConfig(seed=0, alpha=0.03, sigma0=0.0, sigma_min=0.0, iterations=60000),
+        ),
     )
 
 
 def _bugtrap_bundle() -> ProblemBundle:
     ocp = bugtrap_ocp()
-    from .solver import trajectory_guess
-
     return ProblemBundle(
         name="bugtrap",
         nlp=transcribe(ocp),
         ocp=ocp,
         guess=lambda rng: trajectory_guess(ocp, BUGTRAP_GUESS_BOX, rng),
-        # escaping the trap needs a long plateau in the productive noise band,
-        # then a decay fast enough not to linger where chains fall back in
-        config_overrides={
-            "sigma0": 1.5,
-            "hold": 20000,
-            "iters": 40000,
-            "gamma": (1e-4 / 1.5) ** (1.0 / 5000.0),
-        },
+        # hot hold with a taper down to 0.8 (escape attempts while the basin
+        # statistics sharpen), then a cold anneal that skips the band where
+        # escaped chains fall back into the trap
+        phases=(
+            SolverConfig(
+                seed=0, sigma0=1.5, hold=10000, iterations=25000,
+                gamma=(0.8 / 1.5) ** (1.0 / 15000.0), sigma_min=0.8,
+            ),
+            SolverConfig(seed=1, sigma0=0.3, iterations=20000),
+        ),
     )
 
 
@@ -305,6 +314,7 @@ def _toy_bundle() -> ProblemBundle:
         nlp=toy_kkt_problem(),
         ocp=None,
         guess=lambda rng: rng.uniform(-2.0, 2.0, size=2),
+        phases=(SolverConfig(),),
     )
 
 

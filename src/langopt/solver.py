@@ -23,7 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -91,7 +91,9 @@ class SolverConfig:
             raise ValueError("snapshot_stride must be at least 1")
         _check_seed(self.seed)
         if not 0 <= self.hold <= self.iterations:
-            raise ValueError("hold must lie in [0, iterations]")
+            raise ValueError(
+                f"hold must lie in [0, iterations], got {self.hold} and {self.iterations}"
+            )
         if self.sigma_min < 0 or self.sigma0 < self.sigma_min:
             raise ValueError("need sigma0 >= sigma_min >= 0")
         if self.barrier_weight < 0:
@@ -353,111 +355,127 @@ def step(nlp: NlpProblem, state: ChainState, config: SolverConfig, rng) -> Chain
     return ChainState(xbar=Xn[0], lam=Lamn[0], iter=it, sigma=noise_schedule(it, config))
 
 
-def _run_chains(nlp, X0, Lam0, config, rngs):
-    """Iterate the kernel for a stack of chains, recording traces."""
+def _schedule(config) -> tuple:
+    """``config`` as a tuple of phases; one ``SolverConfig`` is a one-phase schedule."""
+    if config is None:
+        return (SolverConfig(),)
+    phases = tuple(config) if isinstance(config, (list, tuple)) else (config,)
+    if not phases:
+        raise ValueError("config must hold at least one phase")
+    for p in phases:
+        if not isinstance(p, SolverConfig):
+            raise TypeError(f"config phases must be SolverConfig, got {type(p).__name__}")
+    return phases
+
+
+def _run_chains(nlp, X0, Lam0, phases, chains):
+    """Iterate the kernel through every phase for a stack of chains, recording traces.
+
+    ``chains`` holds the chains' indices in the batch: chain j draws phase
+    k's noise from seed ``phases[k].seed + j``. Iterations are numbered
+    continuously across phases, and snapshots follow each phase's own
+    stride from the phase's first iteration. A chain that fails is not run
+    in later phases; its trace ends at the failure.
+    """
     N, n = X0.shape
-    T = config.iterations
-    stride = config.snapshot_stride
+    T = sum(p.iterations for p in phases)
+    starts = [sum(p.iterations for p in phases[:k]) for k in range(len(phases))]
     X = np.array(X0, dtype=float)
     Lam = np.array(Lam0, dtype=float)
     active = np.ones(N, dtype=bool)
-    errors: List[Optional[str]] = [None] * N
-    fail_at = np.full(N, T, dtype=int)
+    failed = {}  # chain -> (iterations recorded, message, phase it failed in)
 
     tr = {k: np.zeros((T, N)) for k in ("cost", "hsq", "energy", "sigma")}
-    snap_iters = np.arange(0, T, stride)
+    snap_iters = np.concatenate(
+        [s + np.arange(0, p.iterations, p.snapshot_stride) for s, p in zip(starts, phases)]
+    )
     snaps = np.zeros((len(snap_iters), N, n))
+    snapped = 0
 
-    for i in range(T):
-        if i % stride == 0:
-            snaps[i // stride] = X
-        Xn, Lamn, diag, failures = _advance(nlp, X, Lam, i, config, rngs, active)
-        for k in ("cost", "hsq", "energy"):
-            tr[k][i] = diag[k]
-        tr["sigma"][i] = diag["sigma"]
-        for j, msg in failures.items():
-            errors[j] = msg
-            fail_at[j] = i + 1  # keep the (valid) pre-step record of the failing iteration
-            active[j] = False
-        X, Lam = Xn, Lamn
+    for k, (start, config) in enumerate(zip(starts, phases)):
+        rngs = [np.random.default_rng(config.seed + int(j)) for j in chains]
+        for i in range(config.iterations):
+            if i % config.snapshot_stride == 0:
+                snaps[snapped] = X
+                snapped += 1
+            Xn, Lamn, diag, failures = _advance(nlp, X, Lam, i, config, rngs, active)
+            t = start + i
+            for key in tr:
+                tr[key][t] = diag[key]
+            for j, msg in failures.items():
+                # keep the (valid) pre-step record of the failing iteration
+                failed[j] = (t + 1, msg if len(phases) == 1 else f"phase {k}: {msg}", config)
+                active[j] = False
+            X, Lam = Xn, Lamn
+            if not active.any():
+                break
         if not active.any():
             break
 
     results = []
     for j in range(N):
-        T_j = fail_at[j]
-        s_mask = snap_iters < max(T_j, 1)
+        T_j, err, ended = failed.get(j, (T, None, phases[-1]))
+        s_mask = snap_iters < T_j
         trace = Trace(
-            iters=np.arange(T_j if errors[j] else T),
-            cost=tr["cost"][: T_j if errors[j] else T, j].copy(),
-            hsq=tr["hsq"][: T_j if errors[j] else T, j].copy(),
-            energy=tr["energy"][: T_j if errors[j] else T, j].copy(),
-            sigma=tr["sigma"][: T_j if errors[j] else T, j].copy(),
-            snapshot_iters=snap_iters[s_mask] if errors[j] else snap_iters.copy(),
-            snapshots=snaps[s_mask, j] if errors[j] else snaps[:, j].copy(),
+            iters=np.arange(T_j),
+            cost=tr["cost"][:T_j, j].copy(),
+            hsq=tr["hsq"][:T_j, j].copy(),
+            energy=tr["energy"][:T_j, j].copy(),
+            sigma=tr["sigma"][:T_j, j].copy(),
+            snapshot_iters=snap_iters[s_mask],
+            snapshots=snaps[s_mask, j],
         )
-        results.append((X[j], Lam[j], trace, errors[j]))
+        results.append((X[j], Lam[j], trace, err, ended))
     return results
-
-
-def _finalize(nlp, xbar, lam, trace, err, duration_ms, config):
-    hsq = float(nlp.constraint_violation(xbar))
-    cost = float(ad.value(nlp.cost(xbar)))
-    return Solution(
-        xbar=xbar,
-        lam=lam,
-        hsq=hsq,
-        cost=cost,
-        trace=trace,
-        duration_ms=duration_ms,
-        config=config,
-        success=err is None,
-        message="ok" if err is None else err,
-    )
 
 
 def solve(
     nlp: NlpProblem,
     x0: np.ndarray,
     lambda0: Optional[np.ndarray] = None,
-    config: Optional[SolverConfig] = None,
+    config: Union[SolverConfig, Sequence[SolverConfig], None] = None,
 ) -> Solution:
-    """Run one diffusion chain to completion. Deterministic given the config seed."""
-    config = config if config is not None else SolverConfig()
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (nlp.n,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({nlp.n},)")
-    if config.barrier_weight > 0 and not _interior(x0[None], nlp.lower, nlp.upper)[0]:
-        raise BarrierDomainError("x0 must be strictly interior to finite bounds")
-    lam0 = np.zeros(nlp.m) if lambda0 is None else np.asarray(lambda0, dtype=float)
-    rng = np.random.default_rng(config.seed)
-    t0 = time.perf_counter()
-    ((xbar, lam, trace, err),) = _run_chains(nlp, x0[None], lam0[None], config, [rng])
-    dt_ms = (time.perf_counter() - t0) * 1e3
-    sol = _finalize(nlp, xbar, lam, trace, err, dt_ms, config)
-    if err is not None:
-        raise SolveError(err, solution=sol)
+    """Run one diffusion chain through ``config``, a config or a schedule as in :func:`solve_batch`.
+
+    Deterministic given the seeds. Equals ``solve_batch(nlp, [x0], config,
+    lambda0s=[lambda0])[0]``, except that a failed chain raises
+    :class:`SolveError` with that Solution attached.
+    """
+    (sol,) = solve_batch(nlp, [x0], config, lambda0s=None if lambda0 is None else [lambda0])
+    if not sol.success:
+        raise SolveError(sol.message, solution=sol)
     return sol
 
 
 def solve_batch(
     nlp: NlpProblem,
     x0s: Sequence[np.ndarray],
-    config: Optional[SolverConfig] = None,
+    config: Union[SolverConfig, Sequence[SolverConfig], None] = None,
     threads: int = 1,
     lambda0s: Optional[Sequence[np.ndarray]] = None,
 ) -> List[Solution]:
     """Run independent chains from each initial point; chain i uses seed ``seed + i``.
 
+    ``config`` is one ``SolverConfig`` or a schedule: a non-empty sequence of
+    them, run as phases back to back, each chain carrying its point and
+    multipliers into the next phase. Chain i draws phase k's noise from seed
+    ``phases[k].seed + i``, so a schedule gives the same bytes as one call per
+    phase that passes each chain's ``xbar`` and ``lam`` on (as ``x0s`` and
+    ``lambda0s``); its trace is those calls' traces end to end, numbered
+    continuously.
+
     Per-chain failures are reported on the corresponding Solution
-    (``success=False``) without aborting the rest of the batch. Results do not
-    depend on ``threads``. ``lambda0s`` lets a batch continue from previously
-    obtained multipliers (default: zeros).
+    (``success=False``, ``config`` the phase it failed in) without aborting
+    the rest of the batch. Results do not depend on ``threads``.
+    ``lambda0s`` lets a batch continue from previously obtained multipliers
+    (default: zeros).
     """
-    config = config if config is not None else SolverConfig()
+    phases = _schedule(config)
     X0 = np.stack([np.asarray(x, dtype=float) for x in x0s])
     N = X0.shape[0]
-    if config.barrier_weight > 0:
+    if X0.shape != (N, nlp.n):
+        raise ValueError(f"x0s has shape {X0.shape}, expected ({N}, {nlp.n})")
+    if phases[0].barrier_weight > 0:
         inside = _interior(X0, nlp.lower, nlp.upper)
         if not inside.all():
             j = int(np.nonzero(~inside)[0][0])
@@ -470,12 +488,22 @@ def solve_batch(
             raise ValueError(f"lambda0s has shape {Lam0.shape}, expected ({N}, {nlp.m})")
 
     def run_chunk(indices):
-        rngs = [np.random.default_rng(config.seed + int(j)) for j in indices]
         t0 = time.perf_counter()
-        out = _run_chains(nlp, X0[indices], Lam0[indices], config, rngs)
+        out = _run_chains(nlp, X0[indices], Lam0[indices], phases, indices)
         dt_ms = (time.perf_counter() - t0) * 1e3
         return [
-            _finalize(nlp, xb, lm, trace, err, dt_ms, config) for xb, lm, trace, err in out
+            Solution(
+                xbar=xbar,
+                lam=lam,
+                hsq=float(nlp.constraint_violation(xbar)),
+                cost=float(ad.value(nlp.cost(xbar))),
+                trace=trace,
+                duration_ms=dt_ms,
+                config=cfg,
+                success=err is None,
+                message="ok" if err is None else err,
+            )
+            for xbar, lam, trace, err, cfg in out
         ]
 
     threads = max(1, int(threads))

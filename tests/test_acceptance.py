@@ -5,14 +5,16 @@ condition. The line is printed with capture disabled, so the verdicts are
 visible in the run log even when they pass.
 The heavy trajectory solves are shared through module-scoped fixtures.
 
-The pendulum runs use the two-phase scheme (annealed diffusion, then a
-zero-noise polish with the multipliers carried over): annealing alone
+The trajectory solves run each problem's schedule (``bundle.phases``), the
+recipe ``langopt run`` runs too. The pendulum's is annealed diffusion, then a
+zero-noise polish with the multipliers carried over: annealing alone
 plateaus around ||h||^2 ~ 1e-4 because the weakly observable multiplier
 modes decay at only ~alpha*mu*s^2/4 per iteration, while the rollout-
 deviation bound needs ||h||^2 ~ 1e-8.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,8 +40,6 @@ from langopt.problems import (
 from langopt.solver import barrier_value, drift
 
 N_SEEDS = 10
-ANNEAL = SolverConfig(seed=0)
-POLISH = SolverConfig(seed=0, alpha=0.03, sigma0=0.0, sigma_min=0.0, iterations=60000)
 
 
 @pytest.fixture
@@ -59,16 +59,6 @@ def guesses(bundle, n):
     return [bundle.guess(np.random.default_rng([s, 0xA5])) for s in range(n)]
 
 
-def two_phase(nlp, x0s, mu=10.0, polish_iters=60000):
-    annealed = solve_batch(nlp, x0s, SolverConfig(seed=0, mu=mu))
-    polish = SolverConfig(
-        seed=0, mu=mu, alpha=0.03, sigma0=0.0, sigma_min=0.0, iterations=polish_iters
-    )
-    return solve_batch(
-        nlp, [s.xbar for s in annealed], polish, lambda0s=[s.lam for s in annealed]
-    )
-
-
 @pytest.fixture(scope="module")
 def pendulum():
     return get_problem("pendulum")
@@ -76,7 +66,7 @@ def pendulum():
 
 @pytest.fixture(scope="module")
 def swingup_solutions(pendulum):
-    return two_phase(pendulum.nlp, guesses(pendulum, N_SEEDS))
+    return solve_batch(pendulum.nlp, guesses(pendulum, N_SEEDS), pendulum.phases)
 
 
 class TestKktOracle:
@@ -106,7 +96,8 @@ class TestPenaltySweep:
         t0 = time.perf_counter()
         final = {}
         for mu in (0.01, 0.1, 1.0, 10.0):
-            (sol,) = two_phase(pendulum.nlp, [x0], mu=mu, polish_iters=40000)
+            anneal, polish = (replace(p, mu=mu) for p in pendulum.phases)
+            (sol,) = solve_batch(pendulum.nlp, [x0], [anneal, replace(polish, iterations=40000)])
             final[mu] = sol.hsq
         wall = time.perf_counter() - t0
         ok = (
@@ -163,18 +154,7 @@ class TestTrapEscape:
             in_trap(bfgs_penalty(bundle.nlp, x0, BaselineConfig(seed=i, mu=100.0, iterations=2000)))
             for i, x0 in enumerate(x0s)
         )
-        # hot hold with a taper down to 0.8 (escape attempts while the basin
-        # statistics sharpen), then a cold anneal that skips the band where
-        # escaped chains fall back into the trap
-        taper = SolverConfig(
-            seed=0, sigma0=1.5, hold=10000, iterations=25000,
-            gamma=(0.8 / 1.5) ** (1.0 / 15000.0), sigma_min=0.8,
-        )
-        held = solve_batch(bundle.nlp, x0s, taper)
-        anneal = SolverConfig(seed=1, sigma0=0.3, iterations=20000)
-        sols = solve_batch(
-            bundle.nlp, [h.xbar for h in held], anneal, lambda0s=[h.lam for h in held]
-        )
+        sols = solve_batch(bundle.nlp, x0s, bundle.phases)  # hot hold and taper, cold anneal
         reached = sum(np.linalg.norm(final_position(s) - goal) <= 0.5 for s in sols)
         wall = time.perf_counter() - t0
         ok = gd_stuck == 10 and bfgs_stuck == 10 and reached >= 7 and wall < 300.0

@@ -1,7 +1,15 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import langopt
+from langopt import SolverConfig, solve_batch
 from langopt.cli import main
 
 FAST = ["--iters", "50", "--stride", "25"]
@@ -88,6 +96,67 @@ class TestRun:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--problem", "toy_kkt", "--config", str(tmp_path / "nope.json")]) == 1
+
+
+class TestOneKeyTable:
+    def test_hold_flag_equals_file_key(self, tmp_path):
+        args, out = run_args(tmp_path, "--hold", "20")
+        assert main(args) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "toy_kkt", "hold": 20, "iters": 50, "stride": 25}))
+        out2 = tmp_path / "o2"
+        assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
+        for name in ("trace_0.csv", "snapshots_0.csv"):
+            assert (out / name).read_bytes() == (out2 / name).read_bytes()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["chains"][0]["config"]["hold"] == 20
+
+    def test_seed_offsets_every_phase(self, tmp_path):
+        out = tmp_path / "bt"
+        args = ["run", "--problem", "bugtrap", "--seed", "3", "--hold", "0", "--iters", "20"]
+        assert main([*args, "--out", str(out)]) == 0
+        phases = json.loads((out / "summary.json").read_text())["phases"]
+        assert [p["seed"] for p in phases] == [3, 4]
+        assert [p["iterations"] for p in phases] == [20, 20]
+        assert [p["sigma0"] for p in phases] == [1.5, 0.3]  # the rest of the recipe is kept
+        assert len((out / "trace_0.csv").read_text().splitlines()) == 1 + 40
+
+    def test_toy_matches_direct_solve_batch(self, tmp_path):
+        args, out = run_args(tmp_path, "--batch", "2", "--seed", "4", "--mu", "3")
+        assert main(args) == 0
+        x0s = [np.random.default_rng([4 + i, 0xA5]).uniform(-2.0, 2.0, size=2) for i in range(2)]
+        nlp = langopt.get_problem("toy_kkt").nlp
+        cfg = SolverConfig(seed=4, mu=3.0, iterations=50, snapshot_stride=25)
+        for i, sol in enumerate(solve_batch(nlp, x0s, cfg)):
+            for name, write in (("trace", sol.trace.to_csv), ("snapshots", sol.trace.snapshots_to_csv)):
+                buf = io.StringIO()
+                write(buf)
+                assert (out / f"{name}_{i}.csv").read_bytes() == buf.getvalue().encode()
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["run", "--problem", "toy_kkt", "--iters", "abc"], 1),
+            (["run", "--problem", "toy_kkt", "--bogus", "1"], 1),
+            (["run", "--mus", "1,2"], 1),  # a sweep-only flag
+            ([], 1),
+            (["--help"], 0),
+            (["run", "--help"], 0),
+        ],
+    )
+    def test_parser_exit_codes(self, argv, code, capsys):
+        assert main(argv) == code
+        assert (capsys.readouterr().err != "") == (code != 0)
+
+    @pytest.mark.parametrize("argv, code", [(["run", "--iters", "abc"], 1), (["--help"], 0)])
+    def test_module_exit_codes(self, argv, code):
+        env = {**os.environ, "PYTHONPATH": str(Path(langopt.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "langopt.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == code
 
 
 class TestSweep:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,15 @@ class TestTranscribe:
             float(ocp.running_cost(X[k], U[k])) for k in range(ocp.K)
         ) + float(ocp.terminal_cost(X[-1]))
         assert np.isclose(float(nlp.cost(pack(U, X).data)), direct, rtol=1e-14)
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_constant_terminal_cost(self, batch):
+        ocp = dataclasses.replace(scalar_ocp(K=2), terminal_cost=lambda x: 0.0)  # no x in it
+        nlp = transcribe(ocp)
+        z = np.random.default_rng(0).standard_normal(batch + (nlp.n,))
+        c, g = nlp.cost_and_gradient(z)
+        assert np.array_equal(c, ad.value(nlp.cost(z)))
+        assert np.allclose(g, ad.gradient(nlp.cost, z), rtol=0.0, atol=1e-14)
 
     def test_bounds_replicated(self):
         ocp = pendulum_ocp()

@@ -524,3 +524,120 @@ class TestEnergyDescent:
         late = e[2000:]
         assert np.median(late[-500:]) < np.median(late[:500])
         assert e[-1] < 1e-4
+
+
+def short_schedule(name):
+    """The bundle's schedule cut to a few dozen iterations, with strides that do not divide them."""
+    bundle = get_problem(name)
+    first, second = bundle.phases
+    return bundle, [
+        dataclasses.replace(first, iterations=30, hold=min(first.hold, 10), snapshot_stride=7),
+        dataclasses.replace(second, iterations=25, snapshot_stride=4),
+    ]
+
+
+def schedule_guesses(bundle, n):
+    return [bundle.guess(np.random.default_rng([s, 0xA5])) for s in range(n)]
+
+
+def assert_same_solution(a, b):
+    for name in ("xbar", "lam"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    for name in ("iters", "cost", "hsq", "energy", "sigma", "snapshot_iters", "snapshots"):
+        x, y = getattr(a.trace, name), getattr(b.trace, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert (a.success, a.message, a.config) == (b.success, b.message, b.config)
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("name", ["pendulum", "bugtrap"])
+    def test_equals_hand_chained_calls(self, name):
+        bundle, phases = short_schedule(name)
+        x0s = schedule_guesses(bundle, 3)
+        sols = solve_batch(bundle.nlp, x0s, phases)
+        first = solve_batch(bundle.nlp, x0s, phases[0])
+        second = solve_batch(
+            bundle.nlp, [s.xbar for s in first], phases[1], lambda0s=[s.lam for s in first]
+        )
+        T0 = phases[0].iterations
+        for sol, a, b in zip(sols, first, second):
+            assert sol.success and sol.config is phases[1]
+            assert sol.xbar.tobytes() == b.xbar.tobytes()
+            assert sol.lam.tobytes() == b.lam.tobytes()
+            assert np.array_equal(sol.trace.iters, np.arange(T0 + phases[1].iterations))
+            for key in ("cost", "hsq", "energy", "sigma"):
+                seg = getattr(sol.trace, key)
+                assert seg[:T0].tobytes() == getattr(a.trace, key).tobytes()
+                assert seg[T0:].tobytes() == getattr(b.trace, key).tobytes()
+            assert np.array_equal(
+                sol.trace.snapshot_iters,
+                np.concatenate([a.trace.snapshot_iters, T0 + b.trace.snapshot_iters]),
+            )
+            assert sol.trace.snapshots.tobytes() == np.concatenate(
+                [a.trace.snapshots, b.trace.snapshots]
+            ).tobytes()
+
+    def test_thread_count_invariant(self):
+        bundle, phases = short_schedule("bugtrap")
+        x0s = schedule_guesses(bundle, 5)
+        one = solve_batch(bundle.nlp, x0s, phases, threads=1)
+        four = solve_batch(bundle.nlp, x0s, phases, threads=4)
+        for a, b in zip(one, four):
+            assert_same_solution(a, b)
+
+    def test_solve_is_a_batch_of_one(self):
+        bundle, phases = short_schedule("pendulum")
+        (x0,) = schedule_guesses(bundle, 1)
+        assert_same_solution(
+            solve(bundle.nlp, x0, config=phases), solve_batch(bundle.nlp, [x0], phases)[0]
+        )
+
+    @pytest.mark.parametrize("phase, it", [(0, 12), (1, 5)])
+    def test_failed_chain_stops_and_spares_the_others(self, phase, it):
+        bundle, phases = short_schedule("pendulum")
+        x0s = schedule_guesses(bundle, 4)
+        victim, fail_call = 2, phase * phases[0].iterations + it
+        calls = []
+        oracle = bundle.nlp.cost_and_gradient
+
+        def poisoned(X):  # one call per iteration over the whole stack (threads=1)
+            c, g = oracle(X)
+            if len(calls) == fail_call:
+                g = g.copy()
+                g[victim] = np.nan
+            calls.append(None)
+            return c, g
+
+        nlp = dataclasses.replace(bundle.nlp, cost_and_gradient=poisoned)
+        sols = solve_batch(nlp, x0s, phases)
+        clean = solve_batch(bundle.nlp, x0s, phases)
+        for j, (sol, ref) in enumerate(zip(sols, clean)):
+            if j != victim:
+                assert_same_solution(sol, ref)
+        sol, ref = sols[victim], clean[victim]
+        assert not sol.success
+        assert sol.message == f"phase {phase}: non-finite drift at iteration {it}"
+        assert sol.config is phases[phase]
+        assert len(sol.trace) == fail_call + 1  # ends with the failing iteration's pre-step record
+        assert sol.trace.hsq.tobytes() == ref.trace.hsq[: fail_call + 1].tobytes()
+        assert np.all(sol.trace.snapshot_iters <= fail_call)
+        assert len(sol.trace.snapshots) == len(sol.trace.snapshot_iters)
+
+    def test_rejects_bad_schedules(self):
+        nlp = toy_kkt_problem()
+        with pytest.raises(ValueError, match="at least one phase"):
+            solve_batch(nlp, [np.ones(2)], [])
+        for bad in ([SolverConfig(), {"iterations": 10}], "anneal", 3):
+            with pytest.raises(TypeError, match="SolverConfig"):
+                solve_batch(nlp, [np.ones(2)], bad)
+
+    def test_shape_checks_name_the_field(self):
+        bundle = get_problem("pendulum")
+        (x0,) = schedule_guesses(bundle, 1)
+        cfg = SolverConfig(iterations=5)
+        with pytest.raises(ValueError, match="lambda0s has shape"):
+            solve(bundle.nlp, x0, np.zeros(1), cfg)
+        with pytest.raises(ValueError, match="x0s has shape"):
+            solve_batch(bundle.nlp, [x0[:-1], x0[:-1]], cfg)
+        with pytest.raises(ValueError, match="x0s has shape"):
+            solve(bundle.nlp, x0[:, None], config=cfg)
