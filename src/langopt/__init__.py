@@ -6,7 +6,6 @@ from .autodiff import (
     FiniteDifference,
     GradientMethod,
     NonFiniteValueError,
-    Smoothed,
     check_gradient,
     gradient,
     jacobian,
@@ -35,7 +34,6 @@ from .problems import (
 )
 from .solver import (
     BarrierDomainError,
-    ChainState,
     Solution,
     SolveError,
     SolverConfig,
@@ -46,7 +44,6 @@ from .solver import (
     noise_schedule,
     solve,
     solve_batch,
-    step,
     trajectory_guess,
 )
 

@@ -1,4 +1,4 @@
-"""Forward-mode dual numbers plus finite-difference and smoothed gradient estimators.
+"""Forward-mode dual numbers plus a finite-difference gradient estimator.
 
 Model functions (dynamics, costs, constraints) are written against the math
 shims in this module (``sin``, ``sqrt``, ``stack``, ...), which dispatch on the
@@ -194,12 +194,6 @@ def seed(x: np.ndarray) -> Dual:
     return Dual(x, np.broadcast_to(eye, (n,) + x.shape))
 
 
-def constant(x, d: int) -> Dual:
-    """Lift a plain array to a Dual with ``d`` zero tangents."""
-    x = np.asarray(x, dtype=float)
-    return Dual(x, np.zeros((d,) + x.shape))
-
-
 def _unary(x, fval, fderiv):
     if isinstance(x, Dual):
         return Dual._of(fval(x.val), fderiv(x.val) * x.eps)
@@ -320,22 +314,7 @@ class FiniteDifference:
             raise ValueError("finite-difference step must be positive")
 
 
-@dataclass(frozen=True)
-class Smoothed:
-    """Randomized-smoothing estimate from antithetic Gaussian probes."""
-
-    samples: int = 64
-    stddev: float = 1e-2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.samples < 2:
-            raise ValueError("smoothed estimator needs at least 2 samples")
-        if not self.stddev > 0:
-            raise ValueError("smoothing stddev must be positive")
-
-
-GradientMethod = Union[Exact, FiniteDifference, Smoothed]
+GradientMethod = Union[Exact, FiniteDifference]
 
 
 def _check_finite(y, context):
@@ -358,12 +337,12 @@ def _forward(f: Callable, x: np.ndarray):
     return y.val, np.moveaxis(y.eps, 0, -1).copy()
 
 
-def gradient(f: Callable, x: np.ndarray, method: GradientMethod = Exact(), rng=None):
+def gradient(f: Callable, x: np.ndarray, method: GradientMethod = Exact()):
     """Gradient of a scalar function at ``x`` under the chosen method."""
-    return jacobian(f, x, method, rng)
+    return jacobian(f, x, method)
 
 
-def jacobian(h: Callable, x: np.ndarray, method: GradientMethod = Exact(), rng=None):
+def jacobian(h: Callable, x: np.ndarray, method: GradientMethod = Exact()):
     """Dense m-by-n Jacobian of a vector function at ``x``."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
@@ -381,16 +360,6 @@ def jacobian(h: Callable, x: np.ndarray, method: GradientMethod = Exact(), rng=N
             hm = _check_finite(h(x - e), f"x - {d}*e_{i}")
             cols.append((hp - hm) / (2.0 * d))
         return np.stack(cols, axis=-1)
-    if isinstance(method, Smoothed):
-        rng = rng if rng is not None else np.random.default_rng(method.seed)
-        s = method.stddev
-        acc = 0.0
-        for k in range(method.samples):
-            e = rng.standard_normal(n)
-            hp = _check_finite(h(x + s * e), f"x + stddev*e ({k})")
-            hm = _check_finite(h(x - s * e), f"x - stddev*e ({k})")
-            acc = acc + np.multiply.outer((hp - hm) / (2.0 * s), e)
-        return acc / method.samples
     raise TypeError(f"unknown gradient method: {method!r}")
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineConfig, bfgs_penalty, gradient_descent_cdo
+from .baselines import BaselineConfig, _solver_config, bfgs_penalty
 from .problems import PROBLEMS, get_problem
 from .solver import _check_seed, solve_batch
 
@@ -96,20 +96,25 @@ def _guesses(bundle, n, seed):
     return [bundle.guess(np.random.default_rng([int(seed) + i, 0xA5])) for i in range(n)]
 
 
-def _run_solver(bundle, cfg: dict, x0s):
-    """The configs run (the bundle's schedule, or one baseline config) and each chain's Solution."""
+def _run_solver(bundle, cfg: dict, x0s, mus=None):
+    """The configs run (the bundle's schedule, or one baseline config) and each chain's Solution.
+
+    Baseline chain i runs at seed + i; with ``mus`` (a sweep), chain j runs
+    at penalty ``mus[j]`` instead. Diffusion and gd run as one batch.
+    """
+    nlp, threads = bundle.nlp, int(cfg["threads"])
     if cfg["solver"] == "diffusion":
         phases = [_with_keys(p, cfg) for p in bundle.phases]
-        return phases, solve_batch(bundle.nlp, x0s, phases, threads=int(cfg["threads"]))
+        scheds = phases if mus is None else [[replace(p, mu=mu) for p in phases] for mu in mus]
+        return phases, solve_batch(nlp, x0s, scheds, threads=threads)
     bc = _with_keys(BaselineConfig(), cfg)
-    sols = []
-    for i, x0 in enumerate(x0s):
-        bc_i = replace(bc, seed=bc.seed + i)
-        if cfg["solver"] == "gd":
-            sols.append(gradient_descent_cdo(bundle.nlp, x0, None, bc_i))
-        else:
-            sols.append(bfgs_penalty(bundle.nlp, x0, bc_i))
-    return [bc], sols
+    if mus is None:
+        bcs = [replace(bc, seed=bc.seed + i) for i in range(len(x0s))]
+    else:
+        bcs = [replace(bc, mu=mu) for mu in mus]
+    if cfg["solver"] == "gd":
+        return [bc], solve_batch(nlp, x0s, [[_solver_config(b)] for b in bcs], threads=threads)
+    return [bc], [bfgs_penalty(nlp, x0, b) for x0, b in zip(x0s, bcs)]
 
 
 def _validate(cfg: dict) -> str | None:
@@ -184,23 +189,14 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    rows = []
-    finals = []
-    status = 0
-    for mu in mus:
-        cfg_mu = {**cfg, "mu": mu}
-        (sol,) = _run_solver(bundle, cfg_mu, [x0])[1]
-        if not sol.success:
-            status = 2
-        for it, hsq in zip(sol.trace.iters, sol.trace.hsq):
-            rows.append((mu, int(it), float(hsq)))
-        finals.append({"mu": mu, **sol.summary()})
+    sols = _run_solver(bundle, cfg, [x0] * len(mus), mus)[1]
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     with open(out / "sweep.csv", "w") as f:
         f.write("mu,iter,hsq\n")
-        for mu, it, hsq in rows:
-            f.write(f"{mu!r},{it},{hsq!r}\n")
+        for mu, sol in zip(mus, sols):
+            for it, hsq in zip(sol.trace.iters, sol.trace.hsq):
+                f.write(f"{mu!r},{int(it)},{float(hsq)!r}\n")
     with open(out / "summary.json", "w") as f:
         json.dump(
             {
@@ -208,12 +204,12 @@ def cmd_sweep(args) -> int:
                 "solver": cfg["solver"],
                 "mus": mus,
                 "wall_ms": wall_ms,
-                "chains": finals,
+                "chains": [{"mu": mu, **sol.summary()} for mu, sol in zip(mus, sols)],
             },
             f,
             indent=2,
         )
-    return status
+    return 0 if all(sol.success for sol in sols) else 2
 
 
 def main(argv=None) -> int:

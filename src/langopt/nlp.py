@@ -248,9 +248,18 @@ def transcribe(ocp: OcpDefinition) -> NlpProblem:
             su[nx + j, ..., j] = 1.0
         return ad.Dual._of(xs, sx), ad.Dual._of(U, su)
 
+    def stage_costs(lc, lead):
+        """The running cost as ``lead + (K,)`` stage values; a constant is broadcast."""
+        shape, got = lead + (K,), np.shape(ad.value(lc))
+        if got == shape:
+            return lc
+        if len(got) > len(shape) or any(g not in (1, s) for g, s in zip(got[::-1], shape[::-1])):
+            raise ValueError(f"running_cost returned shape {got}, not broadcastable to {shape}")
+        return lc + np.zeros(shape)
+
     def cost(z):
         U, X = split(z, layout)
-        lc = ocp.running_cost(X[..., :K, :], U)
+        lc = stage_costs(ocp.running_cost(X[..., :K, :], U), X.shape[:-2])
         tc = ocp.terminal_cost(X[..., K, :])
         return ad.asum(lc, axis=-1) + tc
 
@@ -265,10 +274,13 @@ def transcribe(ocp: OcpDefinition) -> NlpProblem:
     def cost_and_gradient(z):
         z = np.asarray(z, dtype=float)
         U, X = split(z, layout)
-        lc = ocp.running_cost(*stage_seeds(X[..., :K, :], U))
+        lc = stage_costs(ocp.running_cost(*stage_seeds(X[..., :K, :], U)), X.shape[:-2])
+        if isinstance(lc, ad.Dual):
+            lc_val, lc_eps = lc.val, np.moveaxis(lc.eps, 0, -1)  # (..., K, d), tangent-last view
+        else:  # a constant running cost
+            lc_val, lc_eps = lc, np.zeros(lc.shape + (d,))
         term, term_grad = ad._forward(ocp.terminal_cost, X[..., K, :])  # None if constant
-        val = lc.val.sum(axis=-1) + term
-        lc_eps = np.moveaxis(lc.eps, 0, -1)  # (..., K, d), tangent-last view
+        val = lc_val.sum(axis=-1) + term
         gx = np.zeros(X.shape)
         gx[..., :K, :] = lc_eps[..., :nx]
         if term_grad is not None:

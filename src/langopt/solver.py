@@ -22,7 +22,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -102,16 +102,6 @@ class SolverConfig:
             raise ValueError("gamma must lie in (0, 1]")
 
 
-@dataclass
-class ChainState:
-    """State of one diffusion chain."""
-
-    xbar: np.ndarray
-    lam: np.ndarray
-    iter: int = 0
-    sigma: float = 0.0
-
-
 @contextmanager
 def _writable(path_or_file):
     """A text file to write to: a path is opened (and closed after), a file object is used as is."""
@@ -158,7 +148,11 @@ class Trace:
 
 @dataclass
 class Solution:
-    """Final chain state plus diagnostics; violation and cost are recomputed at output time."""
+    """Final chain state plus diagnostics; violation and cost are recomputed at output time.
+
+    ``duration_ms`` is the wall time of the thread chunk the chain ran in: a
+    vectorised batch has no per-chain time, so a sweep reports the batch's for every mu.
+    """
 
     xbar: np.ndarray
     lam: np.ndarray
@@ -268,8 +262,11 @@ def _interior(X, lower, upper):
     return ok & ~np.any((X <= lower) | (X >= upper), axis=-1)
 
 
-def _advance(nlp, X, Lam, it, config, rngs, active):
+def _advance(nlp, X, Lam, it, config, mu, rngs, active):
     """One Euler-Maruyama step for a stack of chains.
+
+    ``mu`` is the chains' penalty as an ``(N, 1)`` column, which gives each
+    chain the IEEE products of its scalar; every other parameter is ``config``'s.
 
     Returns (X', Lam', diag, failures) where diag holds pre-step diagnostics
     and failures maps chain index -> error message for chains that died this
@@ -285,7 +282,6 @@ def _advance(nlp, X, Lam, it, config, rngs, active):
     """
     N, n = X.shape
     alpha = config.alpha
-    mu = config.mu
     beta = config.barrier_weight
     sigma = noise_schedule(it, config)
 
@@ -339,45 +335,54 @@ def _advance(nlp, X, Lam, it, config, rngs, active):
     return Xn, Lamn, diag, failures
 
 
-def step(nlp: NlpProblem, state: ChainState, config: SolverConfig, rng) -> ChainState:
-    """Advance a single chain by one iteration.
+def _schedules(config, N):
+    """Each chain's schedule (a tuple of phases) and the ``(N, P)`` seeds its phases draw from.
 
-    ``rng`` supplies the chain's noise; at sigma = 0 it is not drawn from,
-    so the caller's generator is left exactly as it was.
+    ``config`` is one ``SolverConfig`` (a one-phase schedule), a schedule
+    shared by every chain, whose chain j draws from each phase's seed + j,
+    or a sequence of N schedules, one per chain, whose seeds are used as given.
     """
-    X = np.asarray(state.xbar, dtype=float)[None]
-    Lam = np.asarray(state.lam, dtype=float)[None]
-    active = np.ones(1, dtype=bool)
-    Xn, Lamn, _, failures = _advance(nlp, X, Lam, state.iter, config, [rng], active)
-    if failures:
-        raise SolveError(failures[0])
-    it = state.iter + 1
-    return ChainState(xbar=Xn[0], lam=Lamn[0], iter=it, sigma=noise_schedule(it, config))
-
-
-def _schedule(config) -> tuple:
-    """``config`` as a tuple of phases; one ``SolverConfig`` is a one-phase schedule."""
     if config is None:
-        return (SolverConfig(),)
-    phases = tuple(config) if isinstance(config, (list, tuple)) else (config,)
-    if not phases:
-        raise ValueError("config must hold at least one phase")
-    for p in phases:
-        if not isinstance(p, SolverConfig):
-            raise TypeError(f"config phases must be SolverConfig, got {type(p).__name__}")
-    return phases
+        config = SolverConfig()
+    seqs = (list, tuple)
+    shared = not (isinstance(config, seqs) and config and isinstance(config[0], seqs))
+    given = [config] * N if shared else list(config)
+    if len(given) != N:
+        raise ValueError(f"config holds {len(given)} schedules for {N} chains")
+    scheds = [tuple(s) if isinstance(s, seqs) else (s,) for s in given]
+    for j, phases in enumerate(scheds):
+        if not phases:
+            raise ValueError("config must hold at least one phase")
+        for p in phases:
+            if not isinstance(p, SolverConfig):
+                raise TypeError(f"config phases must be SolverConfig, got {type(p).__name__}")
+        if len(phases) != len(scheds[0]):
+            raise ValueError(
+                f"schedule {j} has {len(phases)} phases but schedule 0 has {len(scheds[0])}"
+            )
+        for k, (p, q) in enumerate(zip(scheds[0], phases)):
+            for name in (f.name for f in fields(p) if f.name not in ("mu", "seed")):
+                if getattr(p, name) != getattr(q, name):
+                    raise ValueError(
+                        f"schedule {j} phase {k}: {name} differs from schedule 0; "
+                        "chains' schedules may differ only in mu and seed"
+                    )
+    seeds = [[p.seed + (j if shared else 0) for p in s] for j, s in enumerate(scheds)]
+    return scheds, np.array(seeds, dtype=object)
 
 
-def _run_chains(nlp, X0, Lam0, phases, chains):
+def _run_chains(nlp, X0, Lam0, scheds, seeds):
     """Iterate the kernel through every phase for a stack of chains, recording traces.
 
-    ``chains`` holds the chains' indices in the batch: chain j draws phase
-    k's noise from seed ``phases[k].seed + j``. Iterations are numbered
+    Chain j runs schedule ``scheds[j]`` and draws phase k's noise from seed
+    ``seeds[j, k]``; the kernel reads every parameter but ``mu`` from
+    ``scheds[0]``, which the others match. Iterations are numbered
     continuously across phases, and snapshots follow each phase's own
     stride from the phase's first iteration. A chain that fails is not run
     in later phases; its trace ends at the failure.
     """
     N, n = X0.shape
+    phases = scheds[0]
     T = sum(p.iterations for p in phases)
     starts = [sum(p.iterations for p in phases[:k]) for k in range(len(phases))]
     X = np.array(X0, dtype=float)
@@ -393,18 +398,19 @@ def _run_chains(nlp, X0, Lam0, phases, chains):
     snapped = 0
 
     for k, (start, config) in enumerate(zip(starts, phases)):
-        rngs = [np.random.default_rng(config.seed + int(j)) for j in chains]
+        rngs = [np.random.default_rng(int(seed)) for seed in seeds[:, k]]
+        mu = np.array([[sched[k].mu] for sched in scheds], dtype=float)
         for i in range(config.iterations):
             if i % config.snapshot_stride == 0:
                 snaps[snapped] = X
                 snapped += 1
-            Xn, Lamn, diag, failures = _advance(nlp, X, Lam, i, config, rngs, active)
+            Xn, Lamn, diag, failures = _advance(nlp, X, Lam, i, config, mu, rngs, active)
             t = start + i
             for key in tr:
                 tr[key][t] = diag[key]
             for j, msg in failures.items():
                 # keep the (valid) pre-step record of the failing iteration
-                failed[j] = (t + 1, msg if len(phases) == 1 else f"phase {k}: {msg}", config)
+                failed[j] = (t + 1, msg if len(phases) == 1 else f"phase {k}: {msg}", scheds[j][k])
                 active[j] = False
             X, Lam = Xn, Lamn
             if not active.any():
@@ -414,7 +420,7 @@ def _run_chains(nlp, X0, Lam0, phases, chains):
 
     results = []
     for j in range(N):
-        T_j, err, ended = failed.get(j, (T, None, phases[-1]))
+        T_j, err, ended = failed.get(j, (T, None, scheds[j][-1]))
         s_mask = snap_iters < T_j
         trace = Trace(
             iters=np.arange(T_j),
@@ -450,19 +456,25 @@ def solve(
 def solve_batch(
     nlp: NlpProblem,
     x0s: Sequence[np.ndarray],
-    config: Union[SolverConfig, Sequence[SolverConfig], None] = None,
+    config: Union[SolverConfig, Sequence[SolverConfig], Sequence[Sequence], None] = None,
     threads: int = 1,
     lambda0s: Optional[Sequence[np.ndarray]] = None,
 ) -> List[Solution]:
-    """Run independent chains from each initial point; chain i uses seed ``seed + i``.
+    """Run independent chains from each initial point as one vectorised batch.
 
-    ``config`` is one ``SolverConfig`` or a schedule: a non-empty sequence of
+    ``config`` is one ``SolverConfig``, a schedule (a non-empty sequence of
     them, run as phases back to back, each chain carrying its point and
-    multipliers into the next phase. Chain i draws phase k's noise from seed
-    ``phases[k].seed + i``, so a schedule gives the same bytes as one call per
-    phase that passes each chain's ``xbar`` and ``lam`` on (as ``x0s`` and
-    ``lambda0s``); its trace is those calls' traces end to end, numbered
-    continuously.
+    multipliers into the next phase) shared by every chain, or one schedule
+    per chain (``[[c0], [c1], ...]`` for one phase each). Per-chain
+    schedules may differ only in ``mu`` and ``seed``; any other mismatch is
+    a ValueError naming the schedule, the phase and the field.
+
+    Chain j draws phase k's noise from ``seeds[j, k]``: ``phases[k].seed +
+    j`` for a shared schedule, its own phase's seed for per-chain ones. So
+    chain j equals its solo run ``solve_batch(nlp, [x0s[j]], schedule_j)``
+    by bytes, and a schedule equals one call per phase that passes each
+    chain's ``xbar`` and ``lam`` on (as ``x0s`` and ``lambda0s``), with the
+    trace numbered continuously.
 
     Per-chain failures are reported on the corresponding Solution
     (``success=False``, ``config`` the phase it failed in) without aborting
@@ -470,12 +482,12 @@ def solve_batch(
     ``lambda0s`` lets a batch continue from previously obtained multipliers
     (default: zeros).
     """
-    phases = _schedule(config)
     X0 = np.stack([np.asarray(x, dtype=float) for x in x0s])
     N = X0.shape[0]
     if X0.shape != (N, nlp.n):
         raise ValueError(f"x0s has shape {X0.shape}, expected ({N}, {nlp.n})")
-    if phases[0].barrier_weight > 0:
+    scheds, seeds = _schedules(config, N)
+    if scheds[0][0].barrier_weight > 0:
         inside = _interior(X0, nlp.lower, nlp.upper)
         if not inside.all():
             j = int(np.nonzero(~inside)[0][0])
@@ -487,9 +499,9 @@ def solve_batch(
         if Lam0.shape != (N, nlp.m):
             raise ValueError(f"lambda0s has shape {Lam0.shape}, expected ({N}, {nlp.m})")
 
-    def run_chunk(indices):
+    def run_chunk(idx):
         t0 = time.perf_counter()
-        out = _run_chains(nlp, X0[indices], Lam0[indices], phases, indices)
+        out = _run_chains(nlp, X0[idx], Lam0[idx], [scheds[j] for j in idx], seeds[idx])
         dt_ms = (time.perf_counter() - t0) * 1e3
         return [
             Solution(

@@ -93,12 +93,12 @@ class TestKktOracle:
 class TestPenaltySweep:
     def test_criterion_2(self, pendulum, verdict):
         x0 = guesses(pendulum, 1)[0]
+        mus = (0.01, 0.1, 1.0, 10.0)
+        anneal, polish = pendulum.phases
+        scheds = [[replace(anneal, mu=mu), replace(polish, mu=mu, iterations=40000)] for mu in mus]
         t0 = time.perf_counter()
-        final = {}
-        for mu in (0.01, 0.1, 1.0, 10.0):
-            anneal, polish = (replace(p, mu=mu) for p in pendulum.phases)
-            (sol,) = solve_batch(pendulum.nlp, [x0], [anneal, replace(polish, iterations=40000)])
-            final[mu] = sol.hsq
+        sols = solve_batch(pendulum.nlp, [x0] * len(mus), scheds)  # one chain per mu
+        final = {mu: sol.hsq for mu, sol in zip(mus, sols)}
         wall = time.perf_counter() - t0
         ok = (
             final[1.0] <= 1e-3

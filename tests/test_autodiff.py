@@ -9,7 +9,6 @@ from langopt.autodiff import (
     Exact,
     FiniteDifference,
     NonFiniteValueError,
-    Smoothed,
     check_gradient,
     gradient,
     jacobian,
@@ -129,12 +128,11 @@ class TestGradient:
         assert np.isclose(g[0], 6.0)
 
     def test_constant_all_methods(self):
-        f = lambda x: 7.0 if not isinstance(x, Dual) else ad.constant(7.0, x.tangents)[()] * 1.0
         x = np.array([1.0, -2.0])
         const = lambda x: (x[..., 0] - x[..., 0]) + 7.0
-        for method in (Exact(), FiniteDifference(), Smoothed(samples=4, seed=1)):
+        for method in (Exact(), FiniteDifference()):
             g = gradient(const, x, method)
-            assert np.allclose(g, 0.0)  # Smoothed: exact zero by antithetic cancellation
+            assert np.allclose(g, 0.0)
 
     def test_bilinear_fd(self):
         g = gradient(
@@ -144,24 +142,6 @@ class TestGradient:
         )
         assert np.allclose(g, [5.0, 2.0], atol=1e-8)
 
-    def test_smoothed_per_draw_projection(self):
-        # for linear f each antithetic pair contributes (a.e) e exactly
-        a = np.array([1.5, -2.0, 0.5])
-        f = lambda x: x @ a
-        rng = np.random.default_rng(7)
-        e = rng.standard_normal(3)
-        method = Smoothed(samples=2, stddev=0.1, seed=7)
-        g = gradient(f, np.zeros(3), method)
-        rng2 = np.random.default_rng(7)
-        e1, e2 = rng2.standard_normal(3), rng2.standard_normal(3)
-        expected = 0.5 * ((a @ e1) * e1 + (a @ e2) * e2)
-        assert np.allclose(g, expected, atol=1e-12)
-
-    def test_smoothed_unbiased_for_linear(self):
-        a = np.array([1.0, -3.0])
-        g = gradient(lambda x: x @ a, np.zeros(2), Smoothed(samples=8192, stddev=0.1, seed=0))
-        assert np.allclose(g, a, atol=0.2)
-
     def test_nonfinite_reported(self):
         with pytest.raises(NonFiniteValueError):
             gradient(lambda x: np.log(x[..., 0]) if not isinstance(x, Dual) else ad.log(x[..., 0]), np.array([-1.0]), FiniteDifference())
@@ -169,10 +149,6 @@ class TestGradient:
     def test_method_validation(self):
         with pytest.raises(ValueError):
             FiniteDifference(step=0.0)
-        with pytest.raises(ValueError):
-            Smoothed(samples=1)
-        with pytest.raises(ValueError):
-            Smoothed(stddev=0.0)
 
 
 class TestJacobian:

@@ -58,6 +58,17 @@ class TestRun:
             summary = json.loads((out / "summary.json").read_text())
             assert summary["solver"] == solver
 
+    def test_gd_chain_failure_exits_2_with_outputs(self, tmp_path):
+        out = tmp_path / "gd"
+        argv = ["run", "--problem", "toy_kkt", "--solver", "gd", "--alpha", "1e6",
+                "--iters", "50", "--batch", "2", "--out", str(out)]
+        assert main(argv) == 2
+        for i in range(2):
+            assert (out / f"trace_{i}.csv").exists()
+            assert (out / f"snapshots_{i}.csv").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert [c["success"] for c in summary["chains"]] == [False, False]
+
     def test_unknown_problem(self, tmp_path, capsys):
         assert main(["run", "--problem", "nope", "--out", str(tmp_path / "o")]) == 1
         assert "unknown problem" in capsys.readouterr().err

@@ -118,6 +118,25 @@ class TestTranscribe:
         assert np.array_equal(c, ad.value(nlp.cost(z)))
         assert np.allclose(g, ad.gradient(nlp.cost, z), rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_constant_running_cost_counts_every_stage(self, batch):
+        ocp = dataclasses.replace(scalar_ocp(K=2), running_cost=lambda x, u: 1.0)
+        nlp = transcribe(ocp)
+        z = np.random.default_rng(1).standard_normal(batch + (nlp.n,))
+        terminal = ad.value(ocp.terminal_cost(z[..., -1:]))
+        assert np.array_equal(ad.value(nlp.cost(z)), 2.0 + terminal)
+        c, g = nlp.cost_and_gradient(z)
+        assert np.array_equal(c, ad.value(nlp.cost(z)))
+        assert np.allclose(g, ad.gradient(nlp.cost, z), rtol=0.0, atol=1e-14)
+
+    def test_running_cost_of_wrong_shape_rejected(self):
+        ocp = dataclasses.replace(scalar_ocp(K=2), running_cost=lambda x, u: x * u)  # (K, 1)
+        nlp = transcribe(ocp)
+        z = np.zeros(nlp.n)
+        for oracle in (nlp.cost, nlp.cost_and_gradient):
+            with pytest.raises(ValueError, match="running_cost"):
+                oracle(z)
+
     def test_bounds_replicated(self):
         ocp = pendulum_ocp()
         nlp = transcribe(ocp)
