@@ -23,6 +23,7 @@ from .solver import (
     SolverConfig,
     Solution,
     Trace,
+    _Box,
     _check_seed,
     _interior,
     barrier_gradient,
@@ -111,7 +112,8 @@ def bfgs_penalty(
     opts = config.bfgs
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
-    if beta > 0 and not _interior(x[None], nlp.lower, nlp.upper)[0]:
+    box = _Box(nlp.lower, nlp.upper)
+    if beta > 0 and not _interior(x[None], box)[0]:
         raise BarrierDomainError("x0 must be strictly interior to finite bounds")
 
     t0 = time.perf_counter()
@@ -148,7 +150,7 @@ def bfgs_penalty(
         gp = float(g @ p)
         for _ in range(opts.max_ls):
             cand = x + t * p
-            if beta > 0 and not _interior(cand[None], nlp.lower, nlp.upper)[0]:
+            if beta > 0 and not _interior(cand[None], box)[0]:
                 t *= opts.backtrack
                 continue
             m_new, g_new, hsq_new, c_new = _merit_and_gradient(nlp, cand, mu, beta)

@@ -40,7 +40,7 @@ KEYS = {
     "gamma": (float, "gamma"),
     "iters": (int, "iterations"),
     "hold": (int, "hold"),
-    "batch": (int, None),
+    "batch": (int, None),  # run only: a sweep runs one chain per mu
     "seed": (int, None),
     "threads": (int, None),
     "out": (str, None),
@@ -182,6 +182,9 @@ def cmd_sweep(args) -> int:
         mus = []
     if not mus:
         print("sweep requires a non-empty --mus list", file=sys.stderr)
+        return 1
+    if int(cfg["batch"]) != 1:
+        print(f"sweep runs one chain per mu; batch must be 1, got {cfg['batch']}", file=sys.stderr)
         return 1
     bundle = get_problem(cfg["problem"])
     x0 = _guesses(bundle, 1, cfg["seed"])[0]  # shared across all mu values

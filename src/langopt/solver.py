@@ -256,17 +256,72 @@ def energy(nlp: NlpProblem, xbar, lam, mu: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _interior(X, lower, upper):
-    """Per-chain strict interiority w.r.t. finite bounds (and finiteness)."""
-    ok = np.all(np.isfinite(X), axis=-1)
-    return ok & ~np.any((X <= lower) | (X >= upper), axis=-1)
+# Rows of noise per chain drawn at once; a batch's blocks take N * 16 * n * 8
+# bytes (1.2 MB for 64 pendulum chains), small next to its (T, N) traces.
+_BLOCK_ROWS = 16
 
 
-def _advance(nlp, X, Lam, it, config, mu, rngs, active):
+class _Box:
+    """The coordinates with a finite bound, found once per run.
+
+    ``cols`` selects them: a slice when they are contiguous, as the controls
+    of every transcribed problem are, an index array otherwise, and ``None``
+    when there are none. ``lower`` and ``upper`` are the bounds there.
+    """
+
+    def __init__(self, lower, upper):
+        (idx,) = np.nonzero(np.isfinite(lower) | np.isfinite(upper))
+        if not idx.size:
+            self.cols = None
+            return
+        self.cols = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
+        self.lower, self.upper = lower[self.cols], upper[self.cols]
+
+
+def _interior(X, box):
+    """Per-chain strict interiority w.r.t. ``box``'s finite bounds, and finiteness of every coordinate."""
+    ok = np.isfinite(X).all(axis=-1)
+    if box.cols is None:
+        return ok
+    Xb = X[..., box.cols]
+    return ok & ~((Xb <= box.lower) | (Xb >= box.upper)).any(axis=-1)
+
+
+class _Streams:
+    """Each chain's standard normals, read a row of ``n`` at a time from blocks of its own generator.
+
+    A chain's block of ``_BLOCK_ROWS`` rows is refilled with one
+    ``standard_normal(out=...)`` call when the chain has read its last row,
+    and not before, so a chain that is never read never touches its
+    generator. A ``(R, n)`` fill gives the values of R calls of
+    ``standard_normal(n)``, so chain j's k-th row has the bytes of its
+    generator's k-th ``standard_normal(n)``, whatever the other chains read.
+    """
+
+    def __init__(self, rngs, n):
+        self._rngs = list(rngs)
+        self._blocks = np.empty((len(self._rngs), _BLOCK_ROWS, n))
+        self._pos = np.full(len(self._rngs), _BLOCK_ROWS)
+
+    def draw(self, chains):
+        """The next row of each chain in the index array ``chains``, in order, as a ``(len(chains), n)`` array."""
+        pos = self._pos[chains]
+        spent = pos == _BLOCK_ROWS
+        if spent.any():
+            for j in chains[spent]:
+                self._rngs[j].standard_normal(out=self._blocks[j])
+            pos[spent] = 0
+        self._pos[chains] = pos + 1
+        return self._blocks[chains, pos]
+
+
+def _advance(nlp, X, Lam, it, config, mu, streams, active, box):
     """One Euler-Maruyama step for a stack of chains.
 
     ``mu`` is the chains' penalty as an ``(N, 1)`` column, which gives each
     chain the IEEE products of its scalar; every other parameter is ``config``'s.
+    ``streams`` is the chains' :class:`_Streams` and ``box`` the problem's
+    :class:`_Box`.
 
     Returns (X', Lam', diag, failures) where diag holds pre-step diagnostics
     and failures maps chain index -> error message for chains that died this
@@ -274,13 +329,15 @@ def _advance(nlp, X, Lam, it, config, mu, rngs, active):
 
     A step that leaves the finite bounds is retried at half the time step,
     up to ``_MAX_RETRIES`` halvings. The retries run one halving level at a
-    time for all chains still outside together; each level takes one draw per
-    chain from that chain's own generator, so every chain consumes its stream
-    exactly as if it were stepped alone. At sigma = 0 no noise is drawn at
-    all, neither for the step nor for its retries, and the update is the
-    plain gradient step.
+    time for all chains still outside together; each level reads one row per
+    chain from that chain's own stream, so every chain consumes its stream
+    exactly as if it were stepped alone, and reads the bytes that one
+    ``standard_normal(n)`` call per draw would give. At sigma = 0 no noise is
+    drawn at all, neither for the step nor for its retries, and the update
+    is the plain gradient step. The barrier gradient and the bound checks
+    cover the finite-bound coordinates only; every other coordinate gets the
+    barrier's exact ``+ 0.0``.
     """
-    N, n = X.shape
     alpha = config.alpha
     beta = config.barrier_weight
     sigma = noise_schedule(it, config)
@@ -288,39 +345,39 @@ def _advance(nlp, X, Lam, it, config, mu, rngs, active):
     c, h, v = _merit(nlp, X, Lam, mu)
     g = v
     if beta > 0:
-        g = g + beta * barrier_gradient(X, nlp.lower, nlp.upper)
-    hsq = np.sum(h * h, axis=-1)
+        g = v + 0.0  # 1/inf - 1/inf: the zero the barrier adds off its bounds
+        if box.cols is not None:
+            b = barrier_gradient(X[:, box.cols], box.lower, box.upper)
+            g[:, box.cols] = v[:, box.cols] + beta * b
+    hsq = (h * h).sum(axis=-1)
     diag = {
         "cost": c,
         "hsq": hsq,
-        "energy": 0.5 * np.sum(v * v, axis=-1) + 0.5 * hsq,
+        "energy": 0.5 * (v * v).sum(axis=-1) + 0.5 * hsq,
         "sigma": sigma,
     }
 
     failures = {}
-    bad = active & ~np.all(np.isfinite(g), axis=-1)
-    for j in np.nonzero(bad)[0]:
+    bad = active & ~np.isfinite(g).all(axis=-1)
+    for j in bad.nonzero()[0]:
         failures[int(j)] = f"non-finite drift at iteration {it}"
     ok = active & ~bad
 
     Xc = X - 0.5 * alpha * g
     if sigma > 0:
-        noise = np.zeros_like(X)
-        for j in np.nonzero(ok)[0]:
-            noise[j] = rngs[j].standard_normal(n)
-        Xc = Xc + (sigma * math.sqrt(alpha)) * noise
+        idx = ok.nonzero()[0]
+        Xc[idx] += (sigma * math.sqrt(alpha)) * streams.draw(idx)
 
     if beta > 0:
-        outside = np.nonzero(ok & ~_interior(Xc, nlp.lower, nlp.upper))[0]
+        outside = (ok & ~_interior(Xc, box)).nonzero()[0]
         for r in range(1, _MAX_RETRIES + 1):
             if not outside.size:
                 break
             scale = 0.5**r
             cand = X[outside] - 0.5 * alpha * scale * g[outside]
             if sigma > 0:
-                noise = np.stack([rngs[j].standard_normal(n) for j in outside])
-                cand = cand + sigma * math.sqrt(alpha * scale) * noise
-            inside = _interior(cand, nlp.lower, nlp.upper)
+                cand = cand + sigma * math.sqrt(alpha * scale) * streams.draw(outside)
+            inside = _interior(cand, box)
             Xc[outside[inside]] = cand[inside]
             outside = outside[~inside]
         for j in outside:
@@ -330,9 +387,10 @@ def _advance(nlp, X, Lam, it, config, mu, rngs, active):
             )
             ok[j] = False
 
-    Xn = np.where(ok[:, None], Xc, X)
-    Lamn = np.where(ok[:, None], Lam + (alpha * mu) * h, Lam)
-    return Xn, Lamn, diag, failures
+    Lamn = Lam + (alpha * mu) * h
+    if ok.all():
+        return Xc, Lamn, diag, failures
+    return np.where(ok[:, None], Xc, X), np.where(ok[:, None], Lamn, Lam), diag, failures
 
 
 def _schedules(config, N):
@@ -371,15 +429,15 @@ def _schedules(config, N):
     return scheds, np.array(seeds, dtype=object)
 
 
-def _run_chains(nlp, X0, Lam0, scheds, seeds):
+def _run_chains(nlp, box, X0, Lam0, scheds, seeds):
     """Iterate the kernel through every phase for a stack of chains, recording traces.
 
     Chain j runs schedule ``scheds[j]`` and draws phase k's noise from seed
-    ``seeds[j, k]``; the kernel reads every parameter but ``mu`` from
-    ``scheds[0]``, which the others match. Iterations are numbered
-    continuously across phases, and snapshots follow each phase's own
-    stride from the phase's first iteration. A chain that fails is not run
-    in later phases; its trace ends at the failure.
+    ``seeds[j, k]``; ``box`` is ``nlp``'s :class:`_Box`. The kernel reads
+    every parameter but ``mu`` from ``scheds[0]``, which the others match.
+    Iterations are numbered continuously across phases, and snapshots follow
+    each phase's own stride from the phase's first iteration. A chain that
+    fails is not run in later phases; its trace ends at the failure.
     """
     N, n = X0.shape
     phases = scheds[0]
@@ -398,13 +456,13 @@ def _run_chains(nlp, X0, Lam0, scheds, seeds):
     snapped = 0
 
     for k, (start, config) in enumerate(zip(starts, phases)):
-        rngs = [np.random.default_rng(int(seed)) for seed in seeds[:, k]]
+        streams = _Streams([np.random.default_rng(int(seed)) for seed in seeds[:, k]], n)
         mu = np.array([[sched[k].mu] for sched in scheds], dtype=float)
         for i in range(config.iterations):
             if i % config.snapshot_stride == 0:
                 snaps[snapped] = X
                 snapped += 1
-            Xn, Lamn, diag, failures = _advance(nlp, X, Lam, i, config, mu, rngs, active)
+            Xn, Lamn, diag, failures = _advance(nlp, X, Lam, i, config, mu, streams, active, box)
             t = start + i
             for key in tr:
                 tr[key][t] = diag[key]
@@ -487,8 +545,9 @@ def solve_batch(
     if X0.shape != (N, nlp.n):
         raise ValueError(f"x0s has shape {X0.shape}, expected ({N}, {nlp.n})")
     scheds, seeds = _schedules(config, N)
+    box = _Box(nlp.lower, nlp.upper)
     if scheds[0][0].barrier_weight > 0:
-        inside = _interior(X0, nlp.lower, nlp.upper)
+        inside = _interior(X0, box)
         if not inside.all():
             j = int(np.nonzero(~inside)[0][0])
             raise BarrierDomainError(f"x0s[{j}] is not strictly interior to finite bounds")
@@ -501,7 +560,7 @@ def solve_batch(
 
     def run_chunk(idx):
         t0 = time.perf_counter()
-        out = _run_chains(nlp, X0[idx], Lam0[idx], [scheds[j] for j in idx], seeds[idx])
+        out = _run_chains(nlp, box, X0[idx], Lam0[idx], [scheds[j] for j in idx], seeds[idx])
         dt_ms = (time.perf_counter() - t0) * 1e3
         return [
             Solution(

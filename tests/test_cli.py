@@ -194,6 +194,20 @@ class TestSweep:
         assert main(["sweep", "--problem", "toy_kkt", "--out", str(tmp_path / "o")]) == 1
         assert "non-empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_sweep_rejects_batch(self, tmp_path, capsys, where):
+        out = tmp_path / "o"
+        argv = ["sweep", "--problem", "toy_kkt", "--mus", "1,10", "--out", str(out)]
+        if where == "flag":
+            argv += ["--batch", "5"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"batch": 5}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        assert "batch" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any output
+
     def test_sweep_shares_guess_across_mus(self, tmp_path):
         out = tmp_path / "sw"
         args = ["sweep", "--problem", "toy_kkt", "--out", str(out), "--mus", "1,1", *FAST]

@@ -19,9 +19,10 @@ from langopt import (
     solve_batch,
     trajectory_guess,
 )
+from langopt import autodiff as ad
 from langopt.nlp import NlpProblem
 from langopt.problems import get_problem, pendulum_ocp, toy_kkt_problem
-from langopt.solver import _MAX_RETRIES, _advance, _interior
+from langopt.solver import _BLOCK_ROWS, _MAX_RETRIES, _Box, _Streams, _advance
 
 
 def boxed_toy(lo=-10.0, hi=10.0):
@@ -170,7 +171,8 @@ def test_diagnostics_are_the_kernel_math(problem):
     Lam = rng.standard_normal((3, nlp.m))
     cfg = SolverConfig(sigma0=0.0, sigma_min=0.0, iterations=1)
     mu = np.full((3, 1), cfg.mu)
-    Xn, _, diag, failures = _advance(nlp, X, Lam, 0, cfg, mu, [None] * 3, np.ones(3, dtype=bool))
+    box = _Box(nlp.lower, nlp.upper)
+    Xn, _, diag, failures = _advance(nlp, X, Lam, 0, cfg, mu, None, np.ones(3, dtype=bool), box)
     assert not failures
     d = drift(nlp, X, Lam, cfg.mu, cfg.barrier_weight)
     assert (X - 0.5 * cfg.alpha * d).tobytes() == Xn.tobytes()
@@ -202,7 +204,9 @@ def one_step(nlp, x, lam, cfg, rng):
     """One kernel iteration of a single chain: its new point and multipliers."""
     X, Lam = np.asarray(x, dtype=float)[None], np.asarray(lam, dtype=float)[None]
     mu = np.full((1, 1), cfg.mu)
-    Xn, Lamn, _, failures = _advance(nlp, X, Lam, 0, cfg, mu, [rng], np.ones(1, dtype=bool))
+    streams = _Streams([rng], nlp.n)
+    box = _Box(nlp.lower, nlp.upper)
+    Xn, Lamn, _, failures = _advance(nlp, X, Lam, 0, cfg, mu, streams, np.ones(1, dtype=bool), box)
     assert not failures
     return Xn[0], Lamn[0]
 
@@ -273,9 +277,14 @@ def reference_advance(nlp, X, Lam, it, config, rngs, active):
 
     This is the straightforward form of ``_advance``: every chain draws its
     noise even at sigma = 0, and a chain that leaves the box is retried at
-    halved steps on its own before the next one is looked at. Returns the
-    number of normal vectors each chain drew as a fifth value.
+    halved steps on its own before the next one is looked at, and the bound
+    checks compare every coordinate. Returns the number of normal vectors
+    each chain drew as a fifth value.
     """
+
+    def interior(x):
+        return np.all(np.isfinite(x), axis=-1) & ~np.any((x <= nlp.lower) | (x >= nlp.upper), axis=-1)
+
     N, n = X.shape
     alpha, mu, beta = config.alpha, config.mu, config.barrier_weight
     sigma = noise_schedule(it, config)
@@ -296,7 +305,7 @@ def reference_advance(nlp, X, Lam, it, config, rngs, active):
         draws[j] += 1
     Xc = X - 0.5 * alpha * g + (sigma * math.sqrt(alpha)) * noise
     if beta > 0:
-        for j in np.nonzero(ok & ~_interior(Xc, nlp.lower, nlp.upper))[0]:
+        for j in np.nonzero(ok & ~interior(Xc))[0]:
             for r in range(1, _MAX_RETRIES + 1):
                 scale = 0.5**r
                 draws[j] += 1
@@ -305,7 +314,7 @@ def reference_advance(nlp, X, Lam, it, config, rngs, active):
                     - 0.5 * alpha * scale * g[j]
                     + sigma * math.sqrt(alpha * scale) * rngs[j].standard_normal(n)
                 )
-                if _interior(cand[None], nlp.lower, nlp.upper)[0]:
+                if interior(cand[None])[0]:
                     Xc[j] = cand
                     break
             else:
@@ -321,6 +330,42 @@ def reference_advance(nlp, X, Lam, it, config, rngs, active):
 
 def rng_states(rngs):
     return [r.bit_generator.state for r in rngs]
+
+
+class CountingStreams(_Streams):
+    """The kernel's noise streams, counting the rows each chain reads."""
+
+    def __init__(self, rngs, n):
+        super().__init__(rngs, n)
+        self.reads = np.zeros(len(rngs), dtype=int)
+
+    def draw(self, chains):
+        self.reads[chains] += 1
+        return super().draw(chains)
+
+
+class TestStreams:
+    def test_rows_are_successive_draws_of_each_generator(self):
+        # chain 0 reads every step, chain 1 every other step plus retry reads,
+        # chain 2 never: each gets the bytes of its own standard_normal(n) calls
+        n, seeds = 7, [11, 12, 13]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        refs = [np.random.default_rng(s) for s in seeds]
+        streams = _Streams(rngs, n)
+        reads = np.zeros(3, dtype=int)
+        refilled_on_retry = False
+        for step in range(3 * _BLOCK_ROWS):
+            levels = [[0, 1] if step % 2 else [0]] + [[1]] * (step % 3)
+            for level, chains in enumerate(levels):
+                chains = np.array(chains)
+                refilled_on_retry |= level > 0 and reads[1] % _BLOCK_ROWS == 0
+                rows = streams.draw(chains)
+                assert rows.shape == (len(chains), n)
+                for row, j in zip(rows, chains):
+                    assert row.tobytes() == refs[j].standard_normal(n).tobytes()
+                reads[chains] += 1
+        assert refilled_on_retry and reads[0] != reads[1]
+        assert rng_states(rngs[2:]) == rng_states(refs[2:])
 
 
 class TestAdvance:
@@ -340,39 +385,46 @@ class TestAdvance:
     def test_batched_retries_match_one_chain_at_a_time(self):
         nlp = walled_box(1e12)
         cfg = SolverConfig(sigma0=3.0, gamma=1.0, iterations=10, seed=3)
-        N = len(self.X0)
+        N, n = self.X0.shape
         rngs = [np.random.default_rng(cfg.seed + j) for j in range(N)]
         ref_rngs = [np.random.default_rng(cfg.seed + j) for j in range(N)]
+        streams = CountingStreams(rngs, n)
+        box = _Box(nlp.lower, nlp.upper)
         X = self.X0.copy()
         Lam = np.linspace(-1.0, 1.0, N)[:, None]
         active = np.ones(N, dtype=bool)
         active[5] = False
         mu = np.full((N, 1), cfg.mu)
         inactive_state = rngs[5].bit_generator.state
+        drawn = np.zeros(N, dtype=int)
         retried = np.zeros(N, dtype=bool)
         all_failures = {}
         for it in range(5):
             Xr, Lamr, fr, draws = reference_advance(nlp, X, Lam, it, cfg, ref_rngs, active.copy())
-            Xn, Lamn, _, failures = _advance(nlp, X, Lam, it, cfg, mu, rngs, active.copy())
+            Xn, Lamn, _, failures = _advance(nlp, X, Lam, it, cfg, mu, streams, active.copy(), box)
             assert Xn.tobytes() == Xr.tobytes()
             assert Lamn.tobytes() == Lamr.tobytes()
             assert failures == fr
-            assert rng_states(rngs) == rng_states(ref_rngs)
+            drawn += draws
+            assert np.array_equal(streams.reads, drawn)
             retried |= draws > 1
             all_failures.update(failures)
             active[list(failures)] = False
             X, Lam = Xn, Lamn
         # the scenario covers what it is meant to cover
-        assert retried.sum() >= 3
+        assert retried.sum() >= 3 and drawn.max() > _BLOCK_ROWS
         assert all_failures[1].startswith(f"barrier-domain violation persisted through {_MAX_RETRIES}")
         assert all_failures[6].startswith("non-finite drift")
         assert np.array_equal(X[5], self.X0[5])
         assert rngs[5].bit_generator.state == inactive_state
+        # each stream continues where its generator's own calls would
+        for j, row in enumerate(streams.draw(np.arange(N))):
+            assert row.tobytes() == ref_rngs[j].standard_normal(n).tobytes()
 
     def test_sigma_zero_draws_nothing(self):
         nlp = walled_box(1e4)  # chain 1 is retried until a halved step fits
         cfg = SolverConfig(sigma0=0.0, sigma_min=0.0, gamma=1.0, iterations=10)
-        N = len(self.X0)
+        N, n = self.X0.shape
         rngs = [np.random.default_rng(j) for j in range(N)]
         ref_rngs = [np.random.default_rng(j) for j in range(N)]
         before = rng_states(rngs)
@@ -380,12 +432,109 @@ class TestAdvance:
         active = np.ones(N, dtype=bool)
         Xr, Lamr, fr, draws = reference_advance(nlp, X, Lam, 0, cfg, ref_rngs, active.copy())
         mu = np.full((N, 1), cfg.mu)
-        Xn, Lamn, _, failures = _advance(nlp, X, Lam, 0, cfg, mu, rngs, active.copy())
+        streams = _Streams(rngs, n)
+        Xn, Lamn, _, failures = _advance(
+            nlp, X, Lam, 0, cfg, mu, streams, active.copy(), _Box(nlp.lower, nlp.upper)
+        )
         assert draws[1] > 1 and 1 not in fr
         assert Xn.tobytes() == Xr.tobytes()
         assert Lamn.tobytes() == Lamr.tobytes()
         assert failures == fr
         assert rng_states(rngs) == before
+
+
+def gapped_box(wall):
+    """A 3-coordinate walled box bounded on coordinates 0 and 2 only: x_0 in [-1, 1], x_2 <= 1.
+
+    The gradient is that of :func:`walled_box`, and the constraint
+    x_0 + x_2 = 1 leaves x_1 out of the Jacobian, so where x_1 is -0.0 so is
+    its merit gradient, and only the barrier's ``+ 0.0`` makes the drift +0.0.
+    """
+    walled = walled_box(wall)
+
+    def constraints(x):
+        return ad.stack([x[..., 0] + x[..., 2] - 1.0], axis=-1)
+
+    def constraints_with_vjp(x):
+        h = (x[..., 0] + x[..., 2] - 1.0)[..., None]
+        return h, lambda w: np.concatenate([w, 0.0 * w, w], axis=-1)
+
+    return NlpProblem(
+        n=3,
+        m=1,
+        cost=lambda x: 0.5 * ad.asum(x * x, axis=-1),
+        constraints=constraints,
+        lower=np.array([-1.0, -np.inf, -np.inf]),
+        upper=np.array([1.0, np.inf, 1.0]),
+        cost_and_gradient=walled.cost_and_gradient,
+        constraints_with_vjp=constraints_with_vjp,
+    )
+
+
+class TestGappedBounds:
+    X0 = np.array(
+        [
+            [0.0, 0.0, 0.0],
+            [0.95, 3.0, 0.0],  # thrown out by the wall
+            [0.5, 40.0, 0.99],  # near the one-sided bound
+            [-0.9, -25.0, -30.0],  # far below x_2's bound, which has no lower side
+            [-0.5, 0.0, 0.5],  # non-finite drift
+            [0.2, 0.1, 0.8],
+        ]
+    )
+
+    @pytest.mark.parametrize("sigma0", [0.0, 2.0])
+    def test_kernel_equals_reference(self, sigma0):
+        nlp = gapped_box(1e4)
+        box = _Box(nlp.lower, nlp.upper)
+        assert np.array_equal(box.cols, [0, 2])  # the index-array path, not a slice
+        cfg = SolverConfig(sigma0=sigma0, sigma_min=0.0, gamma=1.0, iterations=10, seed=8)
+        N, n = self.X0.shape
+        rngs = [np.random.default_rng(cfg.seed + j) for j in range(N)]
+        ref_rngs = [np.random.default_rng(cfg.seed + j) for j in range(N)]
+        streams = CountingStreams(rngs, n)
+        X, Lam = self.X0.copy(), np.full((N, 1), -2.0)
+        active = np.ones(N, dtype=bool)
+        mu = np.full((N, 1), cfg.mu)
+        drawn = np.zeros(N, dtype=int)
+        retried = np.zeros(N, dtype=bool)
+        for it in range(6):
+            Xr, Lamr, fr, draws = reference_advance(nlp, X, Lam, it, cfg, ref_rngs, active.copy())
+            Xn, Lamn, _, failures = _advance(nlp, X, Lam, it, cfg, mu, streams, active.copy(), box)
+            assert Xn.tobytes() == Xr.tobytes()
+            assert Lamn.tobytes() == Lamr.tobytes()
+            assert failures == fr
+            drawn += draws if sigma0 > 0 else 0
+            assert np.array_equal(streams.reads, drawn)
+            retried |= draws > 1
+            active[list(failures)] = False
+            X, Lam = Xn, Lamn
+        assert retried[1] and not active[4]
+
+    def test_overflow_off_the_bounds_is_retried(self):
+        # x_1 has no bound, but a step that overflows there is outside all the same
+        nlp = gapped_box(1.0)
+        X, Lam = np.array([[0.0, 1e300, 0.0]]), np.full((1, 1), 10.0)  # lam + mu h = 0
+        cfg = SolverConfig(alpha=1e10, sigma0=0.0, sigma_min=0.0, iterations=1)
+        active, mu, box = np.ones(1, dtype=bool), np.full((1, 1), cfg.mu), _Box(nlp.lower, nlp.upper)
+        with np.errstate(over="ignore"):  # the cost overflows too; the kernel does not step on it
+            Xr, _, fr, draws = reference_advance(nlp, X, Lam, 0, cfg, [np.random.default_rng(0)], active)
+            Xn, _, _, failures = _advance(nlp, X, Lam, 0, cfg, mu, None, active, box)
+        assert draws[0] > 1 and not fr and not failures
+        assert Xn.tobytes() == Xr.tobytes() and np.all(np.isfinite(Xn))
+
+    def test_unbounded_coordinate_gets_the_barrier_zero(self):
+        # drift() adds the barrier over all n coordinates, the kernel over two
+        nlp = gapped_box(1e4)
+        X = np.array([[0.0, -0.0, 0.0], [0.2, -0.0, 0.8]])
+        Lam = np.full((2, 1), -2.0)
+        cfg = SolverConfig(sigma0=0.0, sigma_min=0.0, iterations=1)
+        mu = np.full((2, 1), cfg.mu)
+        box = _Box(nlp.lower, nlp.upper)
+        Xn = _advance(nlp, X, Lam, 0, cfg, mu, None, np.ones(2, dtype=bool), box)[0]
+        d = drift(nlp, X, Lam, cfg.mu, cfg.barrier_weight)
+        assert (X - 0.5 * cfg.alpha * d).tobytes() == Xn.tobytes()
+        assert np.all(np.signbit(Xn[:, 1]))  # -0.0 - 0.5 * alpha * (+0.0)
 
 
 class TestSolve:
@@ -738,3 +887,51 @@ class TestPerChainSchedules:
         nlp, (cfg,) = walled_schedule()
         with pytest.raises(ValueError, match="2 schedules for 3 chains"):
             solve_batch(nlp, [np.zeros(2)] * 3, [[cfg], [cfg]])
+
+
+class TestFailureIsolation:
+    """A chain that fails never changes the bytes of any other chain."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_nan_in_one_chain_spares_the_others(self, data):
+        nlp, (cfg,) = walled_schedule()
+        cfg = dataclasses.replace(cfg, snapshot_stride=1)  # the snapshots hold every pre-step point
+        N = data.draw(st.integers(2, 6), label="N")
+        rows = data.draw(
+            st.lists(st.integers(0, len(TestAdvance.X0) - 1), min_size=N, max_size=N, unique=True),
+            label="rows",
+        )
+        x0s = list(TestAdvance.X0[rows])
+        if data.draw(st.booleans(), label="per-chain schedules"):
+            mus = data.draw(st.lists(st.sampled_from(MUS), min_size=N, max_size=N), label="mus")
+            seeds = data.draw(
+                st.lists(st.integers(0, 2**40), min_size=N, max_size=N, unique=True), label="seeds"
+            )
+            config = per_chain([cfg], mus, [[s] for s in seeds])
+        else:
+            config = cfg
+        threads = data.draw(st.sampled_from([1, 2]), label="threads")
+        clean = solve_batch(nlp, x0s, config, threads=threads)
+        victim = data.draw(st.integers(0, N - 1), label="victim")
+        it = data.draw(st.integers(0, len(clean[victim].trace) - 1), label="iteration")
+        # the victim's pre-step point at that iteration, found by its bytes in any thread's stack
+        target = clean[victim].trace.snapshots[it].tobytes()
+        oracle = nlp.cost_and_gradient
+
+        def poisoned(X):
+            c, g = oracle(X)
+            hit = [r for r in range(len(X)) if X[r].tobytes() == target]
+            if hit:
+                g = g.copy()
+                g[hit] = np.nan
+            return c, g
+
+        sols = solve_batch(dataclasses.replace(nlp, cost_and_gradient=poisoned), x0s, config, threads=threads)
+        for j, (sol, ref) in enumerate(zip(sols, clean)):
+            if j != victim:
+                assert_same_solution(sol, ref)
+        sol = sols[victim]
+        assert not sol.success and sol.message == f"non-finite drift at iteration {it}"
+        assert len(sol.trace) == it + 1
+        assert sol.trace.hsq.tobytes() == clean[victim].trace.hsq[: it + 1].tobytes()
