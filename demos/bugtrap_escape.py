@@ -18,7 +18,7 @@ import numpy as np
 
 from langopt import solve_batch
 from langopt.baselines import BaselineConfig, bfgs_penalty, gradient_descent_cdo
-from langopt.nlp import DecisionVector, Layout, unpack
+from langopt.nlp import Layout, split
 from langopt.problems import BugTrapGeometry, get_problem, trap_bounding_box
 
 N_SEEDS = 5
@@ -31,7 +31,7 @@ layout = Layout(geom.K, 3, 2)
 
 
 def final_position(sol):
-    _, X = unpack(DecisionVector(sol.xbar, layout))
+    _, X = split(sol.xbar, layout)
     return X[-1, :2]
 
 
@@ -48,14 +48,14 @@ print(f"goal at {tuple(goal)}, trap box x:[{box[0,0]:.1f},{box[0,1]:.1f}] "
       f"y:[{box[1,0]:.1f},{box[1,1]:.1f}]\n")
 
 for name, runner in (
-    ("gradient descent", lambda x0, s: gradient_descent_cdo(
-        bundle.nlp, x0, None, BaselineConfig(seed=s, iterations=4000))),
-    ("BFGS", lambda x0, s: bfgs_penalty(
-        bundle.nlp, x0, BaselineConfig(seed=s, mu=100.0, iterations=2000))),
+    ("gradient descent", lambda x0: gradient_descent_cdo(
+        bundle.nlp, x0, None, BaselineConfig(iterations=4000))),
+    ("BFGS", lambda x0: bfgs_penalty(
+        bundle.nlp, x0, BaselineConfig(mu=100.0, iterations=2000))),
 ):
     print(f"{name}:")
     for s, x0 in enumerate(guesses):
-        p = final_position(runner(x0, s))
+        p = final_position(runner(x0))
         print(f"  seed {s}: final ({p[0]:+.2f}, {p[1]:+.2f})  {describe(p)}")
 
 print("diffusion (hot hold + taper, then cold anneal):")

@@ -17,7 +17,7 @@ pendulum_trace.csv for plotting.
 import numpy as np
 
 from langopt import solve
-from langopt.nlp import DecisionVector, Layout, rollout, unpack
+from langopt.nlp import Layout, rollout, split
 from langopt.problems import get_problem
 
 bundle = get_problem("pendulum")
@@ -33,7 +33,7 @@ print(f"after anneal:  ||h||^2 = {sol.trace.hsq[polish_start]:.2e}, "
 print(f"after polish:  ||h||^2 = {sol.hsq:.2e}, cost = {sol.cost:.3f}")
 
 layout = Layout(ocp.K, ocp.nx, ocp.nu)
-U, X = unpack(DecisionVector(sol.xbar, layout))
+U, X = split(sol.xbar, layout)
 theta_K, theta_dot_K = X[-1]
 print(f"\nterminal state: theta = {theta_K:+.3f} rad, theta_dot = {theta_dot_K:+.3f} rad/s")
 print(f"torque range: [{U.min():+.2f}, {U.max():+.2f}] (limits are [-1, 1])")

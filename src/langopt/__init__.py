@@ -10,17 +10,8 @@ from .autodiff import (
     gradient,
     jacobian,
 )
-from .baselines import BaselineConfig, BfgsOptions, bfgs_penalty, gradient_descent_cdo
-from .nlp import (
-    DecisionVector,
-    Layout,
-    NlpProblem,
-    OcpDefinition,
-    pack,
-    rollout,
-    transcribe,
-    unpack,
-)
+from .baselines import BaselineConfig, bfgs_penalty, gradient_descent_cdo
+from .nlp import Layout, NlpProblem, OcpDefinition, join, rollout, split, transcribe
 from .problems import (
     BugTrapGeometry,
     PendulumParams,

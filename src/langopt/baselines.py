@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,7 +24,6 @@ from .solver import (
     Solution,
     Trace,
     _Box,
-    _check_seed,
     _interior,
     barrier_gradient,
     barrier_value,
@@ -32,23 +31,22 @@ from .solver import (
 )
 
 
-@dataclass
-class BfgsOptions:
-    c1: float = 1e-4  # Armijo constant
-    backtrack: float = 0.5
-    max_ls: int = 30
+# BFGS line search: Armijo constant, step shrink factor, trial steps per iteration
+_ARMIJO_C1 = 1e-4
+_BACKTRACK = 0.5
+_MAX_LINE_SEARCH = 30
 
 
 @dataclass
 class BaselineConfig:
+    """Settings of both baselines. They run at sigma = 0 and draw no noise, so they take no seed."""
+
     alpha: float = 0.01
     mu: float = 10.0
     barrier_weight: float = 1e-3
     iterations: int = 20000
     tolerance: float = 1e-8
-    seed: int = 0
     snapshot_stride: int = 100
-    bfgs: BfgsOptions = field(default_factory=BfgsOptions)
 
     def __post_init__(self):
         for name in ("alpha", "mu", "barrier_weight", "tolerance"):
@@ -62,7 +60,9 @@ class BaselineConfig:
             raise ValueError("iterations must be at least 1")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
-        _check_seed(self.seed)
+        for name in ("barrier_weight", "tolerance"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 def _solver_config(config: BaselineConfig) -> SolverConfig:
@@ -74,7 +74,6 @@ def _solver_config(config: BaselineConfig) -> SolverConfig:
         sigma_min=0.0,
         iterations=config.iterations,
         barrier_weight=config.barrier_weight,
-        seed=config.seed,
         snapshot_stride=config.snapshot_stride,
     )
 
@@ -109,7 +108,6 @@ def bfgs_penalty(
     config = config if config is not None else BaselineConfig()
     mu = config.mu
     beta = config.barrier_weight
-    opts = config.bfgs
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
     box = _Box(nlp.lower, nlp.upper)
@@ -148,16 +146,16 @@ def bfgs_penalty(
         t = 1.0
         accepted = False
         gp = float(g @ p)
-        for _ in range(opts.max_ls):
+        for _ in range(_MAX_LINE_SEARCH):
             cand = x + t * p
             if beta > 0 and not _interior(cand[None], box)[0]:
-                t *= opts.backtrack
+                t *= _BACKTRACK
                 continue
             m_new, g_new, hsq_new, c_new = _merit_and_gradient(nlp, cand, mu, beta)
-            if np.isfinite(m_new) and m_new <= m + opts.c1 * t * gp:
+            if np.isfinite(m_new) and m_new <= m + _ARMIJO_C1 * t * gp:
                 accepted = True
                 break
-            t *= opts.backtrack
+            t *= _BACKTRACK
         if not accepted:
             success = False
             message = f"line search failed at iteration {it}; returning best point so far"

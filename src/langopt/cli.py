@@ -4,7 +4,8 @@ Every key in ``KEYS`` can be given as a flag (``_`` spelled ``-``) or in a
 JSON file (``--config``); explicit flags win over the file. The
 diffusion solver runs the problem's schedule (``ProblemBundle.phases``): a
 key that names a config field sets that field in every phase, and ``seed``
-is added to each phase's seed (it also seeds the initial guesses). Outputs:
+is added to each phase's seed. ``seed`` also seeds the initial guesses,
+which is all it does for the baselines (gd, bfgs): they draw no noise. Outputs:
 
   run:   trace_<i>.csv, snapshots_<i>.csv, summary.json
   sweep: sweep.csv (columns mu,iter,hsq), summary.json
@@ -83,12 +84,12 @@ def _merge_config(args) -> dict:
 
 
 def _with_keys(config, cfg: dict):
-    """``config`` with every set key that names one of its fields applied and its seed offset."""
+    """``config`` with every set key that names one of its fields applied."""
     names = {f.name for f in fields(config)}
     kwargs = {
         f: cfg[key] for key, (_, f) in KEYS.items() if f in names and cfg.get(key) is not None
     }
-    return replace(config, **kwargs, seed=config.seed + cfg["seed"])
+    return replace(config, **kwargs)
 
 
 def _guesses(bundle, n, seed):
@@ -99,44 +100,35 @@ def _guesses(bundle, n, seed):
 def _run_solver(bundle, cfg: dict, x0s, mus=None):
     """The configs run (the bundle's schedule, or one baseline config) and each chain's Solution.
 
-    Baseline chain i runs at seed + i; with ``mus`` (a sweep), chain j runs
-    at penalty ``mus[j]`` instead. Diffusion and gd run as one batch.
+    The diffusion phases' seeds are offset by ``seed``; the baselines draw
+    no noise. With ``mus`` (a sweep), chain j runs at penalty ``mus[j]``.
+    Diffusion and gd run as one batch.
     """
     nlp, threads = bundle.nlp, int(cfg["threads"])
     if cfg["solver"] == "diffusion":
-        phases = [_with_keys(p, cfg) for p in bundle.phases]
+        phases = [replace(_with_keys(p, cfg), seed=p.seed + cfg["seed"]) for p in bundle.phases]
         scheds = phases if mus is None else [[replace(p, mu=mu) for p in phases] for mu in mus]
         return phases, solve_batch(nlp, x0s, scheds, threads=threads)
     bc = _with_keys(BaselineConfig(), cfg)
-    if mus is None:
-        bcs = [replace(bc, seed=bc.seed + i) for i in range(len(x0s))]
-    else:
-        bcs = [replace(bc, mu=mu) for mu in mus]
+    bcs = [bc] * len(x0s) if mus is None else [replace(bc, mu=mu) for mu in mus]
     if cfg["solver"] == "gd":
         return [bc], solve_batch(nlp, x0s, [[_solver_config(b)] for b in bcs], threads=threads)
     return [bc], [bfgs_penalty(nlp, x0, b) for x0, b in zip(x0s, bcs)]
 
 
-def _validate(cfg: dict) -> str | None:
+def _validate(cfg: dict) -> None:
     if cfg.get("problem") not in PROBLEMS:
-        return f"unknown problem {cfg.get('problem')!r}; valid problems: {sorted(PROBLEMS)}"
+        raise ValueError(f"unknown problem {cfg.get('problem')!r}; valid problems: {sorted(PROBLEMS)}")
     if cfg["solver"] not in SOLVERS:
-        return f"unknown solver {cfg['solver']!r}; valid solvers: {list(SOLVERS)}"
+        raise ValueError(f"unknown solver {cfg['solver']!r}; valid solvers: {list(SOLVERS)}")
     if int(cfg["batch"]) < 1:
-        return "batch size must be at least 1"
-    try:
-        _check_seed(cfg["seed"])  # before the guesses are drawn from it
-    except ValueError as exc:
-        return str(exc)
-    return None
+        raise ValueError("batch size must be at least 1")
+    _check_seed(cfg["seed"])  # before the guesses are drawn from it
 
 
 def cmd_run(args) -> int:
     cfg = _merge_config(args)
-    err = _validate(cfg)
-    if err:
-        print(err, file=sys.stderr)
-        return 1
+    _validate(cfg)
     bundle = get_problem(cfg["problem"])
     n = int(cfg["batch"])
     x0s = _guesses(bundle, n, cfg["seed"])
@@ -169,10 +161,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _merge_config(args)
-    err = _validate(cfg)
-    if err:
-        print(err, file=sys.stderr)
-        return 1
+    _validate(cfg)
     mus_raw = cfg.get("mus")
     if isinstance(mus_raw, str):
         mus = [float(v) for v in mus_raw.split(",") if v.strip()]
@@ -181,11 +170,9 @@ def cmd_sweep(args) -> int:
     else:
         mus = []
     if not mus:
-        print("sweep requires a non-empty --mus list", file=sys.stderr)
-        return 1
+        raise ValueError("sweep requires a non-empty --mus list")
     if int(cfg["batch"]) != 1:
-        print(f"sweep runs one chain per mu; batch must be 1, got {cfg['batch']}", file=sys.stderr)
-        return 1
+        raise ValueError(f"sweep runs one chain per mu; batch must be 1, got {cfg['batch']}")
     bundle = get_problem(cfg["problem"])
     x0 = _guesses(bundle, 1, cfg["seed"])[0]  # shared across all mu values
     out = Path(cfg["out"])

@@ -10,7 +10,7 @@ feasibility is only required at convergence, not at every iterate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -71,6 +71,10 @@ class Layout:
     nx: int
     nu: int
 
+    def __post_init__(self):
+        if self.K < 1:
+            raise ValueError(f"horizon K must be at least 1, got {self.K}")
+
     @property
     def n(self) -> int:
         return self.K * self.nu + (self.K + 1) * self.nx
@@ -78,46 +82,6 @@ class Layout:
     @property
     def m(self) -> int:
         return (self.K + 1) * self.nx
-
-
-@dataclass(frozen=True)
-class DecisionVector:
-    """Flat decision vector, optionally tagged with its trajectory layout."""
-
-    data: np.ndarray
-    layout: Optional[Layout] = None
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        object.__setattr__(self, "data", data)
-        if self.layout is not None and data.shape != (self.layout.n,):
-            raise ValueError(
-                f"decision vector has length {data.shape}, layout expects {self.layout.n}"
-            )
-
-
-def pack(controls: Sequence[np.ndarray], states: Sequence[np.ndarray]) -> DecisionVector:
-    """Concatenate K controls and K+1 states into the flat layout order."""
-    U = np.atleast_2d(np.asarray(controls, dtype=float))
-    X = np.atleast_2d(np.asarray(states, dtype=float))
-    K, nu = U.shape
-    if K < 1:
-        raise ValueError("need at least one control vector (K >= 1)")
-    if X.shape[0] != K + 1:
-        raise ValueError(f"got {X.shape[0]} states for {K} controls, expected {K + 1}")
-    nx = X.shape[1]
-    layout = Layout(K=K, nx=nx, nu=nu)
-    return DecisionVector(np.concatenate([U.ravel(), X.ravel()]), layout)
-
-
-def unpack(v: DecisionVector):
-    """Split a decision vector back into (controls, states)."""
-    if v.layout is None:
-        raise ValueError("decision vector carries no layout metadata")
-    lo = v.layout
-    U = v.data[: lo.K * lo.nu].reshape(lo.K, lo.nu)
-    X = v.data[lo.K * lo.nu :].reshape(lo.K + 1, lo.nx)
-    return U, X
 
 
 def split(z, layout: Layout):
@@ -129,10 +93,16 @@ def split(z, layout: Layout):
 
 
 def join(U, X, layout: Layout):
-    """Inverse of :func:`split` for plain arrays."""
+    """Inverse of :func:`split`: arrays U ``(..., K, nu)`` and X ``(..., K+1, nx)`` into flat ``(..., n)``."""
+    K, nx, nu = layout.K, layout.nx, layout.nu
+    if U.shape[-2:] != (K, nu) or X.shape[-2:] != (K + 1, nx):
+        raise ValueError(
+            f"join expects U of shape (..., {K}, {nu}) and X of shape (..., {K + 1}, {nx}), "
+            f"got {U.shape} and {X.shape}"
+        )
     lead = U.shape[:-2]
     return np.concatenate(
-        [U.reshape(lead + (layout.K * layout.nu,)), X.reshape(lead + ((layout.K + 1) * layout.nx,))],
+        [U.reshape(lead + (K * nu,)), X.reshape(lead + ((K + 1) * nx,))],
         axis=-1,
     )
 

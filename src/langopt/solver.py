@@ -17,7 +17,6 @@ large batch solves tractable without native code.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +27,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from . import autodiff as ad
-from .nlp import NlpProblem, OcpDefinition, pack
+from .nlp import Layout, NlpProblem, OcpDefinition, join
 
 _MAX_RETRIES = 20
 
@@ -177,10 +176,6 @@ class Solution:
             "config": cfg,
         }
 
-    def to_json(self, path_or_file) -> None:
-        with _writable(path_or_file) as f:
-            json.dump(self.summary(), f, indent=2)
-
 
 # ---------------------------------------------------------------------------
 # pieces of the drift
@@ -230,27 +225,6 @@ def barrier_value(x, lower, upper):
     return terms
 
 
-def _merit(nlp: NlpProblem, X, Lam, mu: float):
-    """Cost, constraint residual and merit gradient ``grad c + J^T (lam + mu h)`` at ``X``."""
-    h, vjp = nlp.constraints_with_vjp(X)
-    c, cg = nlp.cost_and_gradient(X)
-    return c, h, cg + vjp(Lam + mu * h)
-
-
-def drift(nlp: NlpProblem, xbar, lam, mu: float, barrier_weight: float = 0.0):
-    """Drift of the decision variables: gradient of the augmented-Lagrangian merit."""
-    g = _merit(nlp, xbar, lam, mu)[2]
-    if barrier_weight > 0:
-        g = g + barrier_weight * barrier_gradient(xbar, nlp.lower, nlp.upper)
-    return g
-
-
-def energy(nlp: NlpProblem, xbar, lam, mu: float) -> float:
-    """Diagnostic energy 1/2 ||v||^2 + 1/2 ||h||^2; zero exactly at KKT points."""
-    _, h, v = _merit(nlp, xbar, lam, mu)
-    return float(0.5 * np.sum(v * v, axis=-1) + 0.5 * np.sum(h * h, axis=-1))
-
-
 # ---------------------------------------------------------------------------
 # stepping kernel
 # ---------------------------------------------------------------------------
@@ -285,6 +259,38 @@ def _interior(X, box):
         return ok
     Xb = X[..., box.cols]
     return ok & ~((Xb <= box.lower) | (Xb >= box.upper)).any(axis=-1)
+
+
+def _drift(nlp, X, Lam, mu, beta, box):
+    """Cost, constraint residual, merit gradient and drift at ``X``: ``(c, h, v, g)``.
+
+    ``v = grad c + J^T (lam + mu h)`` is the gradient of the
+    augmented-Lagrangian merit and ``g`` adds ``beta`` times the barrier
+    gradient on ``box``'s finite-bound coordinates; every other coordinate
+    gets the barrier's exact ``+ 0.0`` (1/inf - 1/inf). At ``beta = 0``,
+    ``g`` is ``v`` and ``box`` is not read.
+    """
+    h, vjp = nlp.constraints_with_vjp(X)
+    c, cg = nlp.cost_and_gradient(X)
+    v = cg + vjp(Lam + mu * h)
+    g = v
+    if beta > 0:
+        g = v + 0.0
+        if box.cols is not None:
+            b = barrier_gradient(X[..., box.cols], box.lower, box.upper)
+            g[..., box.cols] = v[..., box.cols] + beta * b
+    return c, h, v, g
+
+
+def drift(nlp: NlpProblem, xbar, lam, mu: float, barrier_weight: float = 0.0):
+    """Drift of the decision variables: the kernel's merit gradient plus its barrier term."""
+    return _drift(nlp, xbar, lam, mu, barrier_weight, _Box(nlp.lower, nlp.upper))[3]
+
+
+def energy(nlp: NlpProblem, xbar, lam, mu: float) -> float:
+    """Diagnostic energy 1/2 ||v||^2 + 1/2 ||h||^2; zero exactly at KKT points."""
+    _, h, v, _ = _drift(nlp, xbar, lam, mu, 0.0, None)
+    return float(0.5 * np.sum(v * v, axis=-1) + 0.5 * np.sum(h * h, axis=-1))
 
 
 class _Streams:
@@ -342,13 +348,7 @@ def _advance(nlp, X, Lam, it, config, mu, streams, active, box):
     beta = config.barrier_weight
     sigma = noise_schedule(it, config)
 
-    c, h, v = _merit(nlp, X, Lam, mu)
-    g = v
-    if beta > 0:
-        g = v + 0.0  # 1/inf - 1/inf: the zero the barrier adds off its bounds
-        if box.cols is not None:
-            b = barrier_gradient(X[:, box.cols], box.lower, box.upper)
-            g[:, box.cols] = v[:, box.cols] + beta * b
+    c, h, v, g = _drift(nlp, X, Lam, mu, beta, box)
     hsq = (h * h).sum(axis=-1)
     diag = {
         "cost": c,
@@ -605,4 +605,4 @@ def trajectory_guess(ocp: OcpDefinition, state_box: np.ndarray, rng) -> np.ndarr
     u0 = np.where(both, 0.5 * (ocp.u_lower + ocp.u_upper), 0.0)
     U = np.tile(u0, (ocp.K, 1))
     X = rng.uniform(box[:, 0], box[:, 1], size=(ocp.K + 1, ocp.nx))
-    return pack(U, X).data
+    return join(U, X, Layout(ocp.K, ocp.nx, ocp.nu))

@@ -29,7 +29,7 @@ from langopt import (
     solve_batch,
 )
 from langopt.autodiff import Exact, FiniteDifference, check_gradient, gradient, jacobian
-from langopt.nlp import DecisionVector, Layout, rollout, unpack
+from langopt.nlp import Layout, rollout, split
 from langopt.problems import (
     BugTrapGeometry,
     TOY_KKT_SOLUTION,
@@ -116,7 +116,7 @@ class TestSwingup:
         layout = Layout(ocp.K, ocp.nx, ocp.nu)
         passes = 0
         for sol in swingup_solutions:
-            U, X = unpack(DecisionVector(sol.xbar, layout))
+            U, X = split(sol.xbar, layout)
             theta_K, theta_dot_K = X[-1]
             passes += (
                 abs(theta_K) <= 0.15
@@ -138,7 +138,7 @@ class TestTrapEscape:
         x0s = guesses(bundle, N_SEEDS)
 
         def final_position(sol):
-            _, X = unpack(DecisionVector(sol.xbar, layout))
+            _, X = split(sol.xbar, layout)
             return X[-1, :2]
 
         def in_trap(sol):
@@ -147,12 +147,12 @@ class TestTrapEscape:
 
         t0 = time.perf_counter()
         gd_stuck = sum(
-            in_trap(gradient_descent_cdo(bundle.nlp, x0, None, BaselineConfig(seed=i, iterations=4000)))
-            for i, x0 in enumerate(x0s)
+            in_trap(gradient_descent_cdo(bundle.nlp, x0, None, BaselineConfig(iterations=4000)))
+            for x0 in x0s
         )
         bfgs_stuck = sum(
-            in_trap(bfgs_penalty(bundle.nlp, x0, BaselineConfig(seed=i, mu=100.0, iterations=2000)))
-            for i, x0 in enumerate(x0s)
+            in_trap(bfgs_penalty(bundle.nlp, x0, BaselineConfig(mu=100.0, iterations=2000)))
+            for x0 in x0s
         )
         sols = solve_batch(bundle.nlp, x0s, bundle.phases)  # hot hold and taper, cold anneal
         reached = sum(np.linalg.norm(final_position(s) - goal) <= 0.5 for s in sols)
@@ -176,7 +176,7 @@ class TestRolloutConsistency:
             if sol.hsq > 1e-3:
                 continue
             checked += 1
-            U, X = unpack(DecisionVector(sol.xbar, layout))
+            U, X = split(sol.xbar, layout)
             dev = float(np.max(np.abs(rollout(ocp, U) - X)))
             worst = max(worst, dev)
         verdict(

@@ -141,9 +141,9 @@ class TestBfgsPenalty:
             BaselineConfig(snapshot_stride=0)
         with pytest.raises(ValueError, match="barrier_weight"):
             BaselineConfig(barrier_weight=float("nan"))
-        for seed in (-1, 2.0, False):
-            with pytest.raises(ValueError, match="seed"):
-                BaselineConfig(seed=seed)
+        for name in ("barrier_weight", "tolerance"):
+            with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+                BaselineConfig(**{name: -1.0})
 
     def test_trace_schema(self):
         nlp = toy_kkt_problem()

@@ -3,10 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import langopt
 from langopt import SolverConfig, solve_batch
@@ -143,6 +146,67 @@ class TestOneKeyTable:
                 buf = io.StringIO()
                 write(buf)
                 assert (out / f"{name}_{i}.csv").read_bytes() == buf.getvalue().encode()
+
+
+# toy_kkt keys with values on both sides of their valid ranges; iters is
+# always set, since the default 20000 iterations would make each example slow
+ITERS = {"iters": st.integers(0, 60)}
+DRAWN_KEYS = {
+    "mu": st.floats(-1.0, 50.0),
+    "alpha": st.floats(-0.01, 0.3),
+    "sigma0": st.floats(0.0, 2.0),  # below sigma_min = 1e-4 is invalid
+    "hold": st.integers(-1, 30),
+    "stride": st.integers(0, 30),
+    "barrier_weight": st.floats(-0.002, 0.01),
+    "seed": st.integers(-2, 2**31),
+    "batch": st.integers(0, 3),
+}
+FIELDS = {"iters": "iterations", "stride": "snapshot_stride"}
+
+
+def without_times(summary):
+    """``summary.json`` text with its wall-clock fields dropped, keys sorted."""
+    summary = dict(summary, wall_ms=None)
+    summary["chains"] = [dict(c, duration_ms=None) for c in summary["chains"]]
+    return json.dumps(summary, sort_keys=True)
+
+
+class TestFlagsEqualFile:
+    @given(keys=st.fixed_dictionaries(ITERS, optional=DRAWN_KEYS))
+    @settings(max_examples=100, deadline=None)
+    def test_flags_and_config_file_agree(self, keys):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            flags = [a for k, v in keys.items() for a in ("--" + k.replace("_", "-"), str(v))]
+            code = main(["run", "--problem", "toy_kkt", "--out", str(tmp / "flags"), *flags])
+            (tmp / "cfg.json").write_text(json.dumps({"problem": "toy_kkt", **keys}))
+            assert main(["run", "--config", str(tmp / "cfg.json"), "--out", str(tmp / "file")]) == code
+            event(f"exit {code}")
+
+            seed, batch = keys.get("seed", 0), keys.get("batch", 1)
+            fields = {FIELDS.get(k, k): v for k, v in keys.items() if k not in ("seed", "batch")}
+            try:
+                cfg = SolverConfig(**fields, seed=seed)
+            except ValueError:
+                cfg = None
+            if cfg is None or batch < 1:
+                assert code == 1
+                return
+            bundle = langopt.get_problem("toy_kkt")
+            x0s = [bundle.guess(np.random.default_rng([seed + i, 0xA5])) for i in range(batch)]
+            sols = solve_batch(bundle.nlp, x0s, cfg)
+            assert code == (0 if all(s.success for s in sols) else 2)
+
+            summaries = [json.loads((tmp / d / "summary.json").read_text()) for d in ("flags", "file")]
+            assert without_times(summaries[0]) == without_times(summaries[1])
+            direct = json.loads(json.dumps({**summaries[0], "chains": [s.summary() for s in sols]}))
+            assert without_times(direct) == without_times(summaries[0])
+            for i, sol in enumerate(sols):
+                for name, write in (("trace", sol.trace.to_csv), ("snapshots", sol.trace.snapshots_to_csv)):
+                    buf = io.StringIO()
+                    write(buf)
+                    for d in ("flags", "file"):
+                        assert (tmp / d / f"{name}_{i}.csv").read_bytes() == buf.getvalue().encode()
 
 
 class TestExitCodes:

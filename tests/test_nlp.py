@@ -6,16 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import langopt.autodiff as ad
-from langopt import (
-    DecisionVector,
-    Layout,
-    NlpProblem,
-    OcpDefinition,
-    pack,
-    rollout,
-    transcribe,
-    unpack,
-)
+from langopt import Layout, NlpProblem, OcpDefinition, join, rollout, split, transcribe
 from langopt.problems import get_problem, pendulum_ocp, unicycle_dynamics
 
 
@@ -33,39 +24,47 @@ def scalar_ocp(K=1, x_init=0.0):
 
 
 class TestPackUnpack:
+    """The flat layout: ``join`` packs a trajectory, ``split`` unpacks it."""
+
     def test_layout_order(self):
-        v = pack([[3.0]], [[1.0], [2.0]])
-        assert np.array_equal(v.data, [3.0, 1.0, 2.0])
+        z = join(np.array([[3.0]]), np.array([[1.0], [2.0]]), Layout(1, 1, 1))
+        assert np.array_equal(z, [3.0, 1.0, 2.0])
 
     def test_unpack_inverse(self):
-        U, X = unpack(DecisionVector(np.array([3.0, 1.0, 2.0]), Layout(1, 1, 1)))
+        U, X = split(np.array([3.0, 1.0, 2.0]), Layout(1, 1, 1))
         assert np.array_equal(U, [[3.0]])
         assert np.array_equal(X, [[1.0], [2.0]])
 
     def test_zero_controls_rejected(self):
-        with pytest.raises(ValueError):
-            pack(np.zeros((0, 1)), np.zeros((1, 1)))
-
-    def test_missing_layout(self):
-        with pytest.raises(ValueError):
-            unpack(DecisionVector(np.zeros(3)))
+        with pytest.raises(ValueError, match="K must be at least 1"):
+            Layout(0, 1, 1)
 
     def test_wrong_length(self):
+        layout = Layout(1, 3, 2)
+        X = np.zeros((2, 3))
+        with pytest.raises(ValueError, match=r"\(2, 1\) and \(2, 3\)"):
+            join(np.zeros((2, 1)), X, layout)  # as many entries as (1, 2), the wrong shape
+        with pytest.raises(ValueError, match="X of shape"):
+            join(np.zeros((1, 2)), np.zeros((3, 3)), layout)
         with pytest.raises(ValueError):
-            DecisionVector(np.zeros(4), Layout(1, 1, 1))
+            split(np.zeros(layout.n + 1), layout)
 
     @given(
         K=st.integers(1, 5),
         nx=st.integers(1, 3),
         nu=st.integers(1, 3),
+        batch=st.sampled_from([(), (2,), (2, 3)]),
         seed=st.integers(0, 2**31),
     )
     @settings(max_examples=30, deadline=None)
-    def test_roundtrip(self, K, nx, nu, seed):
+    def test_roundtrip(self, K, nx, nu, batch, seed):
         rng = np.random.default_rng(seed)
-        U = rng.standard_normal((K, nu))
-        X = rng.standard_normal((K + 1, nx))
-        U2, X2 = unpack(pack(U, X))
+        layout = Layout(K, nx, nu)
+        U = rng.standard_normal(batch + (K, nu))
+        X = rng.standard_normal(batch + (K + 1, nx))
+        z = join(U, X, layout)
+        assert z.shape == batch + (layout.n,)
+        U2, X2 = split(z, layout)
         assert np.array_equal(U, U2)
         assert np.array_equal(X, X2)
 
@@ -107,7 +106,7 @@ class TestTranscribe:
         direct = sum(
             float(ocp.running_cost(X[k], U[k])) for k in range(ocp.K)
         ) + float(ocp.terminal_cost(X[-1]))
-        assert np.isclose(float(nlp.cost(pack(U, X).data)), direct, rtol=1e-14)
+        assert np.isclose(float(nlp.cost(join(U, X, Layout(ocp.K, 2, 1)))), direct, rtol=1e-14)
 
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_constant_terminal_cost(self, batch):
@@ -163,8 +162,8 @@ class TestTranscribe:
         nlp = transcribe(ocp)
         rng = np.random.default_rng(seed)
         U = rng.uniform(-1, 1, (ocp.K, 1))
-        v = pack(U, rollout(ocp, U))
-        assert np.max(np.abs(nlp.constraints(v.data))) <= 1e-12
+        z = join(U, rollout(ocp, U), Layout(ocp.K, ocp.nx, ocp.nu))
+        assert np.max(np.abs(nlp.constraints(z))) <= 1e-12
 
 
 @pytest.mark.parametrize("problem", ["pendulum", "bugtrap"])

@@ -276,10 +276,11 @@ def reference_advance(nlp, X, Lam, it, config, rngs, active):
     """The kernel step with bound retries run one chain at a time.
 
     This is the straightforward form of ``_advance``: every chain draws its
-    noise even at sigma = 0, and a chain that leaves the box is retried at
+    noise even at sigma = 0 (where the noise term is left out, as the
+    kernel leaves it out), and a chain that leaves the box is retried at
     halved steps on its own before the next one is looked at, and the bound
     checks compare every coordinate. Returns the number of normal vectors
-    each chain drew as a fifth value.
+    each chain drew as a fourth value.
     """
 
     def interior(x):
@@ -303,17 +304,18 @@ def reference_advance(nlp, X, Lam, it, config, rngs, active):
     for j in np.nonzero(ok)[0]:
         noise[j] = rngs[j].standard_normal(n)
         draws[j] += 1
-    Xc = X - 0.5 * alpha * g + (sigma * math.sqrt(alpha)) * noise
+    Xc = X - 0.5 * alpha * g
+    if sigma > 0:
+        Xc = Xc + (sigma * math.sqrt(alpha)) * noise
     if beta > 0:
         for j in np.nonzero(ok & ~interior(Xc))[0]:
             for r in range(1, _MAX_RETRIES + 1):
                 scale = 0.5**r
                 draws[j] += 1
-                cand = (
-                    X[j]
-                    - 0.5 * alpha * scale * g[j]
-                    + sigma * math.sqrt(alpha * scale) * rngs[j].standard_normal(n)
-                )
+                cand = X[j] - 0.5 * alpha * scale * g[j]
+                step_noise = rngs[j].standard_normal(n)
+                if sigma > 0:
+                    cand = cand + sigma * math.sqrt(alpha * scale) * step_noise
                 if interior(cand[None])[0]:
                     Xc[j] = cand
                     break
@@ -480,6 +482,7 @@ class TestGappedBounds:
             [-0.9, -25.0, -30.0],  # far below x_2's bound, which has no lower side
             [-0.5, 0.0, 0.5],  # non-finite drift
             [0.2, 0.1, 0.8],
+            [0.2, -0.0, 0.8],  # a -0.0 the barrier's +0.0 keeps at sigma = 0
         ]
     )
 
@@ -524,7 +527,8 @@ class TestGappedBounds:
         assert Xn.tobytes() == Xr.tobytes() and np.all(np.isfinite(Xn))
 
     def test_unbounded_coordinate_gets_the_barrier_zero(self):
-        # drift() adds the barrier over all n coordinates, the kernel over two
+        # the reference adds the barrier on all n coordinates (1/inf - 1/inf = +0.0 off the
+        # bounds), the kernel on the two bounded ones and + 0.0 on the rest
         nlp = gapped_box(1e4)
         X = np.array([[0.0, -0.0, 0.0], [0.2, -0.0, 0.8]])
         Lam = np.full((2, 1), -2.0)
@@ -532,8 +536,11 @@ class TestGappedBounds:
         mu = np.full((2, 1), cfg.mu)
         box = _Box(nlp.lower, nlp.upper)
         Xn = _advance(nlp, X, Lam, 0, cfg, mu, None, np.ones(2, dtype=bool), box)[0]
-        d = drift(nlp, X, Lam, cfg.mu, cfg.barrier_weight)
-        assert (X - 0.5 * cfg.alpha * d).tobytes() == Xn.tobytes()
+        h, vjp = nlp.constraints_with_vjp(X)
+        _, cg = nlp.cost_and_gradient(X)
+        v = cg + vjp(Lam + cfg.mu * h)
+        g = v + cfg.barrier_weight * barrier_gradient(X, nlp.lower, nlp.upper)
+        assert (X - 0.5 * cfg.alpha * g).tobytes() == Xn.tobytes()
         assert np.all(np.signbit(Xn[:, 1]))  # -0.0 - 0.5 * alpha * (+0.0)
 
 
