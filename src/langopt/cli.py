@@ -49,6 +49,7 @@ KEYS = {
     "barrier_weight": (float, "barrier_weight"),
     "mus": (str, None),  # sweep only: comma-separated penalty values
 }
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 _DEFAULTS = {"solver": "diffusion", "batch": 1, "seed": 0, "threads": 1, "out": "out"}
 
 
@@ -75,12 +76,42 @@ def _merge_config(args) -> dict:
         unknown = set(file_cfg) - set(KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_cfg)
+        cfg.update({key: _file_value(key, v) for key, v in file_cfg.items()})
     for key in KEYS:
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
     return cfg
+
+
+def _is_a(type_, v) -> bool:
+    """Whether a JSON value has a flag type; a bool is no number and a float no integer."""
+    if type_ is str:
+        return isinstance(v, str)
+    if isinstance(v, bool):
+        return False
+    return isinstance(v, int) if type_ is int else isinstance(v, (int, float))
+
+
+def _file_value(key, v):
+    """A config-file value, rejected with the key's name unless it has the key's flag type."""
+    type_ = KEYS[key][0]
+    if key == "mus":  # a file may also list the penalties
+        if not (_is_a(str, v) or isinstance(v, list) and all(_is_a(float, mu) for mu in v)):
+            raise ValueError(f"config key 'mus' must be a string or a list of numbers, got {v!r}")
+    elif not _is_a(type_, v):
+        raise ValueError(f"config key {key!r} must be {_TYPE_NAMES[type_]}, got {v!r}")
+    return v
+
+
+def _mus(raw) -> list:
+    """The sweep's penalty values: a comma-separated string, or a file's list of numbers."""
+    if isinstance(raw, list):
+        return [float(v) for v in raw]
+    try:
+        return [float(v) for v in (raw or "").split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"mus must be comma-separated numbers, got {raw!r}") from None
 
 
 def _with_keys(config, cfg: dict):
@@ -162,13 +193,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _merge_config(args)
     _validate(cfg)
-    mus_raw = cfg.get("mus")
-    if isinstance(mus_raw, str):
-        mus = [float(v) for v in mus_raw.split(",") if v.strip()]
-    elif mus_raw is not None:
-        mus = [float(v) for v in mus_raw]
-    else:
-        mus = []
+    mus = _mus(cfg.get("mus"))
     if not mus:
         raise ValueError("sweep requires a non-empty --mus list")
     if int(cfg["batch"]) != 1:

@@ -182,8 +182,9 @@ def bugtrap_ocp(geom: BugTrapGeometry = BugTrapGeometry()) -> OcpDefinition:
         return unicycle_dynamics(x, u, geom.dt)
 
     def running_cost(x, u):
-        p = x[..., :2]
-        return obstacle_penalty(p, geom) + geom.dt * 0.01 * ad.asum(u**2.0, axis=-1)
+        # the penalty reads only the position: differentiate it along those two coordinates
+        penalty = ad.narrow(lambda p: obstacle_penalty(p, geom), x[..., :2])
+        return penalty + geom.dt * 0.01 * ad.asum(u**2.0, axis=-1)
 
     def terminal_cost(x):
         dp = x[..., :2] - np.asarray(geom.goal)

@@ -225,6 +225,33 @@ class TestExitCodes:
         assert main(argv) == code
         assert (capsys.readouterr().err != "") == (code != 0)
 
+    @pytest.mark.parametrize(
+        "command, value",
+        [
+            ("run", {"iters": "5"}),
+            ("run", {"alpha": "0.1"}),
+            ("sweep", {"mus": 10}),
+            ("sweep", {"mus": [1, "a"]}),
+            ("run", {"iters": 5.5}),
+            ("run", {"batch": True}),
+            ("run", {"mu": None}),
+            ("run", {"out": 5}),
+        ],
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, command, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "toy_kkt", "mus": "1", **value}))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert repr(next(iter(value))) in capsys.readouterr().err
+        assert not out.exists()  # rejected before any output
+
+    def test_sweep_mus_not_numbers(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["sweep", "--problem", "toy_kkt", "--mus", "1,a", "--out", str(out)]) == 1
+        assert "mus" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, code", [(["run", "--iters", "abc"], 1), (["--help"], 0)])
     def test_module_exit_codes(self, argv, code):
         env = {**os.environ, "PYTHONPATH": str(Path(langopt.__file__).parents[1])}

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 import langopt.autodiff as ad
 from langopt import Layout, NlpProblem, OcpDefinition, join, rollout, split, transcribe
-from langopt.problems import get_problem, pendulum_ocp, unicycle_dynamics
+from langopt.problems import (
+    BugTrapGeometry,
+    bugtrap_ocp,
+    get_problem,
+    obstacle_penalty,
+    pendulum_ocp,
+    unicycle_dynamics,
+)
 
 
 def scalar_ocp(K=1, x_init=0.0):
@@ -214,6 +221,47 @@ class TestTranscribedVjp:
         c_ref, g_ref = nlp.cost_and_gradient(z)
         assert np.allclose(c, c_ref, rtol=1e-12, atol=0.0)
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
+
+class TestBugTrapOracleBits:
+    """The obstacle pass, differentiated along the two positions only, keeps every byte."""
+
+    geom = BugTrapGeometry()
+
+    def five_tangent_nlp(self):
+        """The bug trap with its obstacle penalty run on all d = nx + nu stage tangents."""
+
+        def running_cost(x, u):
+            return obstacle_penalty(x[..., :2], self.geom) + self.geom.dt * 0.01 * ad.asum(u**2.0, axis=-1)
+
+        return transcribe(dataclasses.replace(bugtrap_ocp(self.geom), running_cost=running_cost))
+
+    def batch(self, rng, bundle, n):
+        """Guesses with positions moved onto the penalty's kinks and far away, and +-0 controls."""
+        layout = Layout(bundle.ocp.K, bundle.ocp.nx, bundle.ocp.nu)
+        U, X = split(np.stack([bundle.guess(rng) for _ in range(n)]), layout)
+        special = [
+            (c[0] + sx * h[0], c[1] + sy * h[1])  # centres, faces and corners
+            for c, h in ((r.center, r.half) for r in self.geom.rects)
+            for sx in (-1, 0, 1)
+            for sy in (-1, 0, 1)
+        ] + [(50.0, -50.0), (-50.0, 50.0), self.geom.goal]
+        special = np.array(special)
+        moved = rng.random(X.shape[:-1]) < 0.5
+        X[..., :2] = np.where(moved[..., None], special[rng.integers(0, len(special), X.shape[:-1])], X[..., :2])
+        U = np.where(rng.random(U.shape) < 0.3, rng.choice([0.0, -0.0], U.shape), U)
+        return join(U, X, layout)
+
+    def test_cost_and_gradient_bytes(self):
+        bundle, rng = get_problem("bugtrap"), np.random.default_rng(7)
+        full = self.five_tangent_nlp()
+        for n in (1, 10, 10, 10):
+            Z = self.batch(rng, bundle, n)
+            for z in (Z, Z[0]):
+                c, g = bundle.nlp.cost_and_gradient(z)
+                c_ref, g_ref = full.cost_and_gradient(z)
+                assert c.tobytes() == c_ref.tobytes()
+                assert g.shape == g_ref.shape and g.tobytes() == g_ref.tobytes()
 
 
 def test_generic_oracles_without_constraints():
