@@ -18,7 +18,7 @@ bundle = get_problem("pendulum")
 guesses = [bundle.guess(np.random.default_rng([s, 0xA5])) for s in range(N)]
 
 t0 = time.perf_counter()
-sols = solve_batch(bundle.nlp, guesses, SolverConfig(seed=0), threads=2)
+sols = solve_batch(bundle.nlp, guesses, SolverConfig(seed=0))
 wall = time.perf_counter() - t0
 
 hsq = np.array([s.hsq for s in sols])

@@ -16,8 +16,8 @@ trajectory ends up.
 
 import numpy as np
 
-from langopt import solve_batch
-from langopt.baselines import BaselineConfig, bfgs_penalty, gradient_descent_cdo
+from langopt import SolverConfig, solve_batch
+from langopt.baselines import bfgs_penalty, gradient_descent_cdo
 from langopt.nlp import Layout, split
 from langopt.problems import BugTrapGeometry, get_problem, trap_bounding_box
 
@@ -49,9 +49,9 @@ print(f"goal at {tuple(goal)}, trap box x:[{box[0,0]:.1f},{box[0,1]:.1f}] "
 
 for name, runner in (
     ("gradient descent", lambda x0: gradient_descent_cdo(
-        bundle.nlp, x0, None, BaselineConfig(iterations=4000))),
+        bundle.nlp, x0, None, SolverConfig(iterations=4000))),
     ("BFGS", lambda x0: bfgs_penalty(
-        bundle.nlp, x0, BaselineConfig(mu=100.0, iterations=2000))),
+        bundle.nlp, x0, SolverConfig(mu=100.0, iterations=2000))),
 ):
     print(f"{name}:")
     for s, x0 in enumerate(guesses):

@@ -10,7 +10,7 @@ from .autodiff import (
     gradient,
     jacobian,
 )
-from .baselines import BaselineConfig, bfgs_penalty, gradient_descent_cdo
+from .baselines import bfgs_penalty, gradient_descent_cdo
 from .nlp import Layout, NlpProblem, OcpDefinition, join, rollout, split, transcribe
 from .problems import (
     BugTrapGeometry,

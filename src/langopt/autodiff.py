@@ -229,10 +229,6 @@ def cos(x):
     return _unary(x, np.cos, lambda v: -np.sin(v))
 
 
-def tanh(x):
-    return _unary(x, np.tanh, lambda v: 1.0 - np.tanh(v) ** 2)
-
-
 def exp(x):
     return _unary(x, np.exp, np.exp)
 

@@ -1,5 +1,6 @@
 """Deterministic comparison methods: constrained differential optimization and BFGS.
 
+Both take a ``SolverConfig`` and run it at sigma = 0.
 ``gradient_descent_cdo`` is literally the diffusion solver with the noise
 switched off (same stepping kernel), so its iterates match a zero-noise
 diffusion run bit for bit. ``bfgs_penalty`` minimizes the multiplier-free
@@ -9,9 +10,8 @@ backtracking.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -31,62 +31,31 @@ from .solver import (
 )
 
 
-# BFGS line search: Armijo constant, step shrink factor, trial steps per iteration
+# BFGS: the merit gradient norm it stops at; its line search's Armijo constant,
+# step shrink factor and trial steps per iteration
+_GRAD_TOL = 1e-8
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
 _MAX_LINE_SEARCH = 30
 
 
-@dataclass
-class BaselineConfig:
-    """Settings of both baselines. They run at sigma = 0 and draw no noise, so they take no seed."""
-
-    alpha: float = 0.01
-    mu: float = 10.0
-    barrier_weight: float = 1e-3
-    iterations: int = 20000
-    tolerance: float = 1e-8
-    snapshot_stride: int = 100
-
-    def __post_init__(self):
-        for name in ("alpha", "mu", "barrier_weight", "tolerance"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be at least 1")
-        for name in ("barrier_weight", "tolerance"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
-
-def _solver_config(config: BaselineConfig) -> SolverConfig:
-    return SolverConfig(
-        alpha=config.alpha,
-        mu=config.mu,
-        sigma0=0.0,
-        gamma=1.0,
-        sigma_min=0.0,
-        iterations=config.iterations,
-        barrier_weight=config.barrier_weight,
-        snapshot_stride=config.snapshot_stride,
-    )
+def _noise_free(config: Optional[SolverConfig]) -> SolverConfig:
+    """``config`` (default ``SolverConfig()``) at sigma = 0, the limit both baselines run."""
+    return replace(config or SolverConfig(), sigma0=0.0, sigma_min=0.0, gamma=1.0)
 
 
 def gradient_descent_cdo(
     nlp: NlpProblem,
     x0: np.ndarray,
     lambda0: Optional[np.ndarray] = None,
-    config: Optional[BaselineConfig] = None,
+    config: Optional[SolverConfig] = None,
 ) -> Solution:
-    """Constrained differential optimization: the diffusion recurrence with sigma = 0."""
-    config = config if config is not None else BaselineConfig()
-    return solve(nlp, x0, lambda0, _solver_config(config))
+    """Constrained differential optimization: the diffusion recurrence with sigma = 0.
+
+    Runs ``solve`` on ``config`` with its noise zeroed (``sigma0 = sigma_min
+    = 0``, ``gamma = 1``); every other field is used as given.
+    """
+    return solve(nlp, x0, lambda0, _noise_free(config))
 
 
 def _merit_and_gradient(nlp, x, mu, beta):
@@ -102,10 +71,16 @@ def _merit_and_gradient(nlp, x, mu, beta):
 
 
 def bfgs_penalty(
-    nlp: NlpProblem, x0: np.ndarray, config: Optional[BaselineConfig] = None
+    nlp: NlpProblem, x0: np.ndarray, config: Optional[SolverConfig] = None
 ) -> Solution:
-    """BFGS with Armijo backtracking on c(x) + (mu/2)||h(x)||^2 + beta*B(x)."""
-    config = config if config is not None else BaselineConfig()
+    """BFGS with Armijo backtracking on c(x) + (mu/2)||h(x)||^2 + beta*B(x).
+
+    Reads ``mu``, ``barrier_weight`` (beta), ``iterations`` and
+    ``snapshot_stride`` of ``config``, and stops early once the merit
+    gradient norm reaches ``_GRAD_TOL``. The Solution records ``config``
+    with its noise zeroed.
+    """
+    config = _noise_free(config)
     mu = config.mu
     beta = config.barrier_weight
     x = np.asarray(x0, dtype=float).copy()
@@ -134,7 +109,7 @@ def bfgs_penalty(
             snaps.append(x.copy())
 
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= config.tolerance:
+        if gnorm <= _GRAD_TOL:
             message = f"converged: merit gradient norm {gnorm:.3e}"
             break
 
@@ -191,7 +166,7 @@ def bfgs_penalty(
         cost=float(ad.value(nlp.cost(x))),
         trace=trace,
         duration_ms=dt_ms,
-        config=_solver_config(config),
+        config=config,
         success=success,
         message=message,
     )

@@ -25,9 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineConfig, _solver_config, bfgs_penalty
+from .baselines import _noise_free, bfgs_penalty
 from .problems import PROBLEMS, get_problem
-from .solver import _check_seed, solve_batch
+from .solver import SolverConfig, _check_seed, _check_threads, solve_batch
 
 SOLVERS = ("diffusion", "gd", "bfgs")
 
@@ -129,22 +129,23 @@ def _guesses(bundle, n, seed):
 
 
 def _run_solver(bundle, cfg: dict, x0s, mus=None):
-    """The configs run (the bundle's schedule, or one baseline config) and each chain's Solution.
+    """The configs run (the bundle's schedule, or one noise-free config) and each chain's Solution.
 
-    The diffusion phases' seeds are offset by ``seed``; the baselines draw
-    no noise. With ``mus`` (a sweep), chain j runs at penalty ``mus[j]``.
-    Diffusion and gd run as one batch.
+    The diffusion phases' seeds are offset by ``seed``; the baselines run
+    ``SolverConfig()`` with the keys applied and the noise zeroed. With
+    ``mus`` (a sweep), chain j runs at penalty ``mus[j]``. Diffusion and gd
+    run as one batch.
     """
-    nlp, threads = bundle.nlp, int(cfg["threads"])
+    nlp, threads = bundle.nlp, cfg["threads"]
     if cfg["solver"] == "diffusion":
         phases = [replace(_with_keys(p, cfg), seed=p.seed + cfg["seed"]) for p in bundle.phases]
         scheds = phases if mus is None else [[replace(p, mu=mu) for p in phases] for mu in mus]
         return phases, solve_batch(nlp, x0s, scheds, threads=threads)
-    bc = _with_keys(BaselineConfig(), cfg)
-    bcs = [bc] * len(x0s) if mus is None else [replace(bc, mu=mu) for mu in mus]
+    sc = _noise_free(_with_keys(SolverConfig(), cfg))
+    scs = [sc] * len(x0s) if mus is None else [replace(sc, mu=mu) for mu in mus]
     if cfg["solver"] == "gd":
-        return [bc], solve_batch(nlp, x0s, [[_solver_config(b)] for b in bcs], threads=threads)
-    return [bc], [bfgs_penalty(nlp, x0, b) for x0, b in zip(x0s, bcs)]
+        return [sc], solve_batch(nlp, x0s, [[c] for c in scs], threads=threads)
+    return [sc], [bfgs_penalty(nlp, x0, c) for x0, c in zip(x0s, scs)]
 
 
 def _validate(cfg: dict) -> None:
@@ -155,11 +156,14 @@ def _validate(cfg: dict) -> None:
     if int(cfg["batch"]) < 1:
         raise ValueError("batch size must be at least 1")
     _check_seed(cfg["seed"])  # before the guesses are drawn from it
+    _check_threads(cfg["threads"])  # bfgs never reaches solve_batch's own check
 
 
 def cmd_run(args) -> int:
     cfg = _merge_config(args)
     _validate(cfg)
+    if cfg.get("mus") is not None:
+        raise ValueError("mus is a sweep key; run takes one mu (use --mu or the 'mu' key)")
     bundle = get_problem(cfg["problem"])
     n = int(cfg["batch"])
     x0s = _guesses(bundle, n, cfg["seed"])

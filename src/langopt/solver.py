@@ -38,6 +38,12 @@ def _check_seed(seed):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def _check_threads(threads):
+    """Reject a thread count that is not an integer of at least 1, naming the field."""
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
+
+
 class BarrierDomainError(ValueError):
     """An evaluation point sits on or outside a finite bound."""
 
@@ -536,10 +542,12 @@ def solve_batch(
 
     Per-chain failures are reported on the corresponding Solution
     (``success=False``, ``config`` the phase it failed in) without aborting
-    the rest of the batch. Results do not depend on ``threads``.
+    the rest of the batch. Results do not depend on ``threads``, an integer
+    of at least 1.
     ``lambda0s`` lets a batch continue from previously obtained multipliers
     (default: zeros).
     """
+    _check_threads(threads)
     X0 = np.stack([np.asarray(x, dtype=float) for x in x0s])
     N = X0.shape[0]
     if X0.shape != (N, nlp.n):
@@ -577,7 +585,6 @@ def solve_batch(
             for xbar, lam, trace, err, cfg in out
         ]
 
-    threads = max(1, int(threads))
     if threads == 1 or N == 1:
         return run_chunk(np.arange(N))
     chunks = np.array_split(np.arange(N), min(threads, N))

@@ -21,7 +21,6 @@ import pytest
 
 import langopt.autodiff as ad
 from langopt import (
-    BaselineConfig,
     SolverConfig,
     bfgs_penalty,
     gradient_descent_cdo,
@@ -147,11 +146,11 @@ class TestTrapEscape:
 
         t0 = time.perf_counter()
         gd_stuck = sum(
-            in_trap(gradient_descent_cdo(bundle.nlp, x0, None, BaselineConfig(iterations=4000)))
+            in_trap(gradient_descent_cdo(bundle.nlp, x0, None, SolverConfig(iterations=4000)))
             for x0 in x0s
         )
         bfgs_stuck = sum(
-            in_trap(bfgs_penalty(bundle.nlp, x0, BaselineConfig(mu=100.0, iterations=2000)))
+            in_trap(bfgs_penalty(bundle.nlp, x0, SolverConfig(mu=100.0, iterations=2000)))
             for x0 in x0s
         )
         sols = solve_batch(bundle.nlp, x0s, bundle.phases)  # hot hold and taper, cold anneal
@@ -249,17 +248,8 @@ class TestReduction:
         for name in ("toy_kkt", "pendulum", "bugtrap"):
             bundle = get_problem(name)
             x0 = guesses(bundle, 1)[0]
-            bc = BaselineConfig(iterations=iters)
-            sc = SolverConfig(
-                alpha=bc.alpha,
-                mu=bc.mu,
-                sigma0=0.0,
-                gamma=1.0,
-                sigma_min=0.0,
-                iterations=iters,
-                barrier_weight=bc.barrier_weight,
-            )
-            a = gradient_descent_cdo(bundle.nlp, x0, None, bc)
+            sc = SolverConfig(sigma0=0.0, gamma=1.0, sigma_min=0.0, iterations=iters)
+            a = gradient_descent_cdo(bundle.nlp, x0, None, SolverConfig(iterations=iters))
             b = solve(bundle.nlp, x0, None, sc)
             same = (
                 np.array_equal(a.trace.cost, b.trace.cost)

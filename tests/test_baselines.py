@@ -1,9 +1,10 @@
+import io
+
 import numpy as np
 import pytest
 
 import langopt.autodiff as ad
 from langopt import (
-    BaselineConfig,
     NlpProblem,
     SolverConfig,
     bfgs_penalty,
@@ -39,7 +40,7 @@ def quadratic_bowl(n=4, seed=0):
 class TestGradientDescentCdo:
     def test_toy_converges(self):
         sol = gradient_descent_cdo(
-            toy_kkt_problem(), np.array([2.0, 2.0]), config=BaselineConfig(iterations=5000)
+            toy_kkt_problem(), np.array([2.0, 2.0]), config=SolverConfig(iterations=5000)
         )
         assert sol.success
         assert np.allclose(sol.xbar, [0.5, 0.5], atol=1e-3)
@@ -48,32 +49,38 @@ class TestGradientDescentCdo:
     def test_bitwise_matches_zero_noise_diffusion(self):
         nlp = toy_kkt_problem()
         x0 = np.array([1.5, -0.5])
-        bc = BaselineConfig(iterations=500)
-        sc = SolverConfig(
-            alpha=bc.alpha,
-            mu=bc.mu,
-            sigma0=0.0,
-            gamma=1.0,
-            sigma_min=0.0,
-            iterations=500,
-            barrier_weight=bc.barrier_weight,
-        )
-        a = gradient_descent_cdo(nlp, x0, config=bc)
-        b = solve(nlp, x0, config=sc)
+        a = gradient_descent_cdo(nlp, x0, config=SolverConfig(iterations=500))
+        b = solve(nlp, x0, config=SolverConfig(sigma0=0.0, gamma=1.0, sigma_min=0.0, iterations=500))
         assert np.array_equal(a.xbar, b.xbar)
         assert np.array_equal(a.trace.cost, b.trace.cost)
         assert np.array_equal(a.trace.hsq, b.trace.hsq)
 
+    def test_noisy_config_runs_noise_free(self):
+        # the noise fields are zeroed; hold, seed and the rest are run as given
+        nlp = toy_kkt_problem()
+        x0 = np.array([1.5, -0.5])
+        rest = dict(hold=40, seed=123, iterations=300, snapshot_stride=7)
+        noisy = SolverConfig(sigma0=0.7, gamma=0.99, **rest)
+        quiet = SolverConfig(sigma0=0.0, gamma=1.0, sigma_min=0.0, **rest)
+        a = gradient_descent_cdo(nlp, x0, config=noisy)
+        b = solve(nlp, x0, config=quiet)
+        trace_a, trace_b = io.StringIO(), io.StringIO()
+        a.trace.to_csv(trace_a)
+        b.trace.to_csv(trace_b)
+        assert trace_a.getvalue() == trace_b.getvalue()
+        assert np.array_equal(a.trace.snapshots, b.trace.snapshots)
+        assert a.config == quiet
+
     def test_deterministic(self):
         nlp = toy_kkt_problem()
-        a = gradient_descent_cdo(nlp, np.ones(2), config=BaselineConfig(iterations=100))
-        b = gradient_descent_cdo(nlp, np.ones(2), config=BaselineConfig(iterations=100))
+        a = gradient_descent_cdo(nlp, np.ones(2), config=SolverConfig(iterations=100))
+        b = gradient_descent_cdo(nlp, np.ones(2), config=SolverConfig(iterations=100))
         assert np.array_equal(a.xbar, b.xbar)
 
     def test_multiplier_continuation(self):
         nlp = toy_kkt_problem()
         sol = gradient_descent_cdo(
-            nlp, np.array([0.5, 0.5]), np.array([-0.5]), BaselineConfig(iterations=50)
+            nlp, np.array([0.5, 0.5]), np.array([-0.5]), SolverConfig(iterations=50)
         )
         # started at the KKT point with the exact multiplier: nothing moves
         assert np.allclose(sol.xbar, [0.5, 0.5], atol=1e-14)
@@ -83,7 +90,7 @@ class TestBfgsPenalty:
     def test_quadratic_fast_convergence(self):
         # on a strictly convex quadratic BFGS needs only a handful of iterations
         nlp, A, b, xstar = quadratic_bowl(n=5)
-        cfg = BaselineConfig(iterations=25, tolerance=1e-10, barrier_weight=0.0)
+        cfg = SolverConfig(iterations=25, barrier_weight=0.0)
         sol = bfgs_penalty(nlp, np.zeros(5), cfg)
         assert sol.message.startswith("converged")
         assert len(sol.trace) <= 3 * nlp.n  # far fewer than gradient descent would need
@@ -93,14 +100,14 @@ class TestBfgsPenalty:
         # min 1/2||x||^2 + (mu/2)(x1+x2-1)^2 has closed form x = mu/(1+2mu) * (1,1)
         nlp = toy_kkt_problem()
         mu = 100.0
-        cfg = BaselineConfig(mu=mu, iterations=500, tolerance=1e-12, barrier_weight=0.0)
+        cfg = SolverConfig(mu=mu, iterations=500, barrier_weight=0.0)
         sol = bfgs_penalty(nlp, np.array([3.0, -1.0]), cfg)
         expect = mu / (1 + 2 * mu)
         assert np.allclose(sol.xbar, [expect, expect], atol=1e-8)
 
     def test_merit_monotone(self):
         nlp, A, b, _ = quadratic_bowl(n=4, seed=3)
-        cfg = BaselineConfig(iterations=50, barrier_weight=0.0)
+        cfg = SolverConfig(iterations=50, barrier_weight=0.0)
         sol = bfgs_penalty(nlp, np.ones(4), cfg)
         costs = sol.trace.cost  # merit == cost here (h == 0, no barrier)
         assert np.all(np.diff(costs) <= 1e-12)
@@ -116,7 +123,7 @@ class TestBfgsPenalty:
             lower=np.full(n, -1.0),
             upper=np.full(n, 1.0),
         )
-        sol = bfgs_penalty(nlp, np.zeros(n), BaselineConfig(iterations=200))
+        sol = bfgs_penalty(nlp, np.zeros(n), SolverConfig(iterations=200))
         assert np.all(np.abs(sol.xbar) < 1.0)
         assert np.all(np.abs(sol.trace.snapshots) < 1.0)
 
@@ -132,21 +139,10 @@ class TestBfgsPenalty:
         from langopt import BarrierDomainError
 
         with pytest.raises(BarrierDomainError):
-            bfgs_penalty(nlp, np.array([2.0]), BaselineConfig())
-
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            BaselineConfig(alpha=-0.1)
-        with pytest.raises(ValueError, match="snapshot_stride"):
-            BaselineConfig(snapshot_stride=0)
-        with pytest.raises(ValueError, match="barrier_weight"):
-            BaselineConfig(barrier_weight=float("nan"))
-        for name in ("barrier_weight", "tolerance"):
-            with pytest.raises(ValueError, match=f"{name} must be non-negative"):
-                BaselineConfig(**{name: -1.0})
+            bfgs_penalty(nlp, np.array([2.0]), SolverConfig())
 
     def test_trace_schema(self):
         nlp = toy_kkt_problem()
-        sol = bfgs_penalty(nlp, np.ones(2), BaselineConfig(iterations=20, barrier_weight=0.0))
+        sol = bfgs_penalty(nlp, np.ones(2), SolverConfig(iterations=20, barrier_weight=0.0))
         assert len(sol.trace.cost) == len(sol.trace.iters)
         assert np.all(sol.trace.sigma == 0.0)

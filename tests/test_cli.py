@@ -246,6 +246,23 @@ class TestExitCodes:
         assert repr(next(iter(value))) in capsys.readouterr().err
         assert not out.exists()  # rejected before any output
 
+    def test_run_rejects_mus_in_file(self, tmp_path, capsys):
+        # the file-borne twin of the sweep-only --mus flag above
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iters": 5, "mus": [1, 2.5]}))
+        out = tmp_path / "o"
+        assert main(["run", "--problem", "toy_kkt", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "mus" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any output
+
+    @pytest.mark.parametrize("solver", ["diffusion", "gd", "bfgs"])
+    def test_bad_thread_count(self, tmp_path, capsys, solver):
+        out = tmp_path / "o"
+        argv = ["run", "--problem", "toy_kkt", "--solver", solver, "--threads", "0", "--out", str(out)]
+        assert main(argv) == 1
+        assert "threads" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any output
+
     def test_sweep_mus_not_numbers(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["sweep", "--problem", "toy_kkt", "--mus", "1,a", "--out", str(out)]) == 1

@@ -74,6 +74,7 @@ class TestConfig:
             ("mu", math.inf),
             ("barrier_weight", math.nan),
             ("barrier_weight", math.inf),
+            ("barrier_weight", -1.0),
             ("snapshot_stride", 0),
             ("seed", -1),
             ("seed", 1.5),
@@ -637,6 +638,11 @@ class TestSolveBatch:
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.xbar, sb.xbar)
             assert np.array_equal(sa.trace.hsq, sb.trace.hsq)
+
+    @pytest.mark.parametrize("threads", [0, -3, 1.5, 2.0, "2", True])
+    def test_bad_thread_count_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            solve_batch(toy_kkt_problem(), [np.ones(2)] * 2, SolverConfig(iterations=5), threads=threads)
 
     def test_lambda0s_continuation(self):
         nlp = toy_kkt_problem()
