@@ -194,25 +194,21 @@ def seed(x: np.ndarray) -> Dual:
     return Dual(x, np.broadcast_to(eye, (n,) + x.shape))
 
 
-def narrow(f: Callable, x):
-    """``f(x)``, with ``f`` differentiated along the last axis of ``x`` only.
+def with_gradient(value_and_grad: Callable, x):
+    """A function of the last axis of ``x``, from its plain value and gradient.
 
-    ``f`` must be pointwise over the leading axes of ``x``: it maps each row
-    ``x[..., :]`` to one value, of shape ``x.shape[:-1]`` in all. When ``x``
-    is a Dual with more tangents than its k coordinates, ``f`` runs on
-    ``seed(x.val)`` with k tangents and the chain rule maps them back,
-    ``eps = sum_i y.eps[i] * x.eps[..., i]`` in order of i. Otherwise this
-    is ``f(x)``.
+    ``value_and_grad`` maps plain rows ``(..., k)`` to a value ``(...,)`` and
+    its gradient ``(..., k)``. For a Dual ``x`` the gradient ``g`` is mapped
+    onto ``x``'s tangents by the chain rule, ``eps = sum_i g[..., i] *
+    x.eps[..., i]`` in order of i; for a plain ``x`` this is the value.
     """
-    if not isinstance(x, Dual) or x.tangents <= x.shape[-1]:
-        return f(x)
-    y = f(seed(x.val))
-    if not isinstance(y, Dual):
-        return y
-    eps = y.eps[0] * x.eps[..., 0]
+    if not isinstance(x, Dual):
+        return value_and_grad(x)[0]
+    y, g = value_and_grad(x.val)
+    eps = g[..., 0] * x.eps[..., 0]
     for i in range(1, x.shape[-1]):
-        eps = eps + y.eps[i] * x.eps[..., i]
-    return _result(y.val, eps)
+        eps = eps + g[..., i] * x.eps[..., i]
+    return _result(y, eps)
 
 
 def _unary(x, fval, fderiv):

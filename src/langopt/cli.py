@@ -27,7 +27,7 @@ import numpy as np
 
 from .baselines import _noise_free, bfgs_penalty
 from .problems import PROBLEMS, get_problem
-from .solver import SolverConfig, _check_seed, _check_threads, solve_batch
+from .solver import SolverConfig, _check_seed, _check_threads, _reprs, solve_batch
 
 SOLVERS = ("diffusion", "gd", "bfgs")
 
@@ -214,8 +214,8 @@ def cmd_sweep(args) -> int:
     with open(out / "sweep.csv", "w") as f:
         f.write("mu,iter,hsq\n")
         for mu, sol in zip(mus, sols):
-            for it, hsq in zip(sol.trace.iters, sol.trace.hsq):
-                f.write(f"{mu!r},{int(it)},{float(hsq)!r}\n")
+            rows = zip(_reprs(sol.trace.iters, int), _reprs(sol.trace.hsq))
+            f.writelines(f"{mu!r},{it},{hsq}\n" for it, hsq in rows)
     with open(out / "summary.json", "w") as f:
         json.dump(
             {

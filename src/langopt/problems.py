@@ -175,16 +175,79 @@ def obstacle_penalty(p, geom: BugTrapGeometry):
     return geom.w_obs * total
 
 
+def _box_arrays(geom: BugTrapGeometry):
+    """Rectangle centres and half-extents as ``(2, R, 1)`` arrays: axis, rectangle, point."""
+    center = np.array([r.center for r in geom.rects], dtype=float).T[..., None]
+    half = np.array([r.half for r in geom.rects], dtype=float).T[..., None]
+    return center, half
+
+
+def obstacle_value_and_gradient(p, geom: BugTrapGeometry, boxes=None):
+    """:func:`obstacle_penalty` of plain points ``(..., 2)`` and its gradient ``(..., 2)``.
+
+    The derivative is written in closed form as the operations the dual pass
+    ``obstacle_penalty(ad.seed(p), geom)`` runs, in its order, so the value
+    and every non-zero gradient entry carry its bytes (zeros may differ in
+    sign). Per rectangle and axis, with ``s`` the sign of the offset and
+    ``qp`` the clipped face distance: outside, ``d sd = (0.5 / r) * (t + t)``
+    with ``t = s * qp``; inside, ``s`` on the axis of the larger ``q``; then
+    the ramp's ``sigmoid * (-d sd / smooth_len) * smooth_len``, summed over
+    rectangles in order and times ``w_obs``. ``boxes`` is
+    :func:`_box_arrays` of ``geom``, built per call when not given.
+    """
+    center, half = _box_arrays(geom) if boxes is None else boxes
+    p = np.asarray(p, dtype=float)
+    lead = p.shape[:-1]
+    d = np.moveaxis(p, -1, 0).reshape(2, 1, -1) - center  # (2, R, M): axis, rectangle, point
+    s = np.where(d >= 0, 1.0, -1.0)  # the sign |.| differentiates with: +1 at -0.0
+    q = np.abs(d)
+    q -= half  # in place: a broadcast operand makes the allocating form several times slower
+    qx, qy = q
+    out = (qx > 0) | (qy > 0)
+    qp = np.where(q >= 0, q, 0.0)
+    sq = qp[0] * qp[0]
+    sq += qp[1] * qp[1]
+    r = np.sqrt(np.where(out, sq, 1.0))
+    pick_x = qx >= qy
+    m = np.where(pick_x, qx, qy)
+    sd = np.where(out, r, 0.0) + np.where(m <= 0, m, 0.0)
+    v = (geom.margin - sd) / geom.smooth_len
+    ramp = np.logaddexp(0.0, v) * geom.smooth_len
+
+    # outside, (0.5 / r) * (t + t); inside (where t = s * 0 and r = 1), s on the picked axis
+    t = s * qp
+    dsd = t + t
+    dsd *= 0.5 / r
+    inside = ~out
+    np.copyto(dsd[0], s[0], where=inside & pick_x)
+    np.copyto(dsd[1], s[1], where=inside & ~pick_x)
+    dramp = -dsd
+    dramp /= geom.smooth_len
+    dramp *= ad._sigmoid(v)  # ad.softplus's derivative
+    dramp *= geom.smooth_len
+
+    total, grad = 0.0 + ramp[0], 0.0 + dramp[:, 0]
+    for i in range(1, len(geom.rects)):
+        total += ramp[i]
+        grad += dramp[:, i]
+    total *= geom.w_obs
+    grad *= geom.w_obs
+    return total.reshape(lead), np.moveaxis(grad.reshape((2,) + lead), 0, -1)
+
+
 def bugtrap_ocp(geom: BugTrapGeometry = BugTrapGeometry()) -> OcpDefinition:
     """Drive out of the U and around to the goal; obstacles live in the running cost."""
+    boxes = _box_arrays(geom)
 
     def dynamics(x, u):
         return unicycle_dynamics(x, u, geom.dt)
 
+    def obstacles(p):
+        return obstacle_value_and_gradient(p, geom, boxes)
+
     def running_cost(x, u):
-        # the penalty reads only the position: differentiate it along those two coordinates
-        penalty = ad.narrow(lambda p: obstacle_penalty(p, geom), x[..., :2])
-        return penalty + geom.dt * 0.01 * ad.asum(u**2.0, axis=-1)
+        # the penalty reads only the position: its closed-form gradient is mapped onto x's tangents
+        return ad.with_gradient(obstacles, x[..., :2]) + geom.dt * 0.01 * ad.asum(u**2.0, axis=-1)
 
     def terminal_cost(x):
         dp = x[..., :2] - np.asarray(geom.goal)

@@ -90,6 +90,10 @@ class SolverConfig:
             raise ValueError("alpha must be positive")
         if not self.mu > 0:
             raise ValueError("mu must be positive")
+        for name in ("iterations", "hold", "snapshot_stride"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.snapshot_stride < 1:
@@ -117,6 +121,11 @@ def _writable(path_or_file):
         yield path_or_file
 
 
+def _reprs(column, type_=float):
+    """The reprs of a column's entries as Python ``type_`` values, converted as one array."""
+    return map(repr, np.asarray(column).astype(type_).tolist())
+
+
 @dataclass
 class Trace:
     """Per-iteration diagnostics recorded at the pre-step point."""
@@ -136,19 +145,16 @@ class Trace:
         """Write the trace with header ``iter,cost,hsq,energy,sigma``."""
         with _writable(path_or_file) as f:
             f.write("iter,cost,hsq,energy,sigma\n")
-            for i in range(len(self.iters)):
-                f.write(
-                    f"{int(self.iters[i])},{float(self.cost[i])!r},{float(self.hsq[i])!r},"
-                    f"{float(self.energy[i])!r},{float(self.sigma[i])!r}\n"
-                )
+            cols = [_reprs(self.iters, int)]
+            cols += [_reprs(c) for c in (self.cost, self.hsq, self.energy, self.sigma)]
+            f.writelines(",".join(row) + "\n" for row in zip(*cols))
 
     def snapshots_to_csv(self, path_or_file) -> None:
         with _writable(path_or_file) as f:
             ncols = self.snapshots.shape[1] if self.snapshots.size else 0
             f.write("iter," + ",".join(f"v{j}" for j in range(ncols)) + "\n")
-            for i in range(len(self.snapshot_iters)):
-                row = ",".join(repr(float(v)) for v in self.snapshots[i])
-                f.write(f"{int(self.snapshot_iters[i])},{row}\n")
+            rows = (",".join(map(repr, r)) for r in np.asarray(self.snapshots, dtype=float).tolist())
+            f.writelines(f"{it},{row}\n" for it, row in zip(_reprs(self.snapshot_iters, int), rows))
 
 
 @dataclass

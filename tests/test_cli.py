@@ -293,6 +293,22 @@ class TestSweep:
         assert summary["mus"] == [0.1, 1.0, 10.0]
         assert len(summary["chains"]) == 3
 
+    def test_sweep_csv_bytes_of_the_row_by_row_writer(self, tmp_path, monkeypatch):
+        # a huge mu blows up: its chain fails and its hsq column holds non-finite values
+        runs = []
+        run_solver = langopt.cli._run_solver
+        monkeypatch.setattr(langopt.cli, "_run_solver", lambda *a: runs.append(run_solver(*a)) or runs[-1])
+        out = tmp_path / "sw"
+        with np.errstate(all="ignore"):
+            code = main(["sweep", "--problem", "toy_kkt", "--out", str(out), "--mus", "0.1,2.5,1e300", *FAST])
+        assert code == 2
+        ref = "mu,iter,hsq\n"
+        for mu, sol in zip([0.1, 2.5, 1e300], runs[0][1]):
+            for it, hsq in zip(sol.trace.iters, sol.trace.hsq):
+                ref += f"{mu!r},{int(it)},{float(hsq)!r}\n"
+        assert (out / "sweep.csv").read_text() == ref
+        assert "inf" in ref or "nan" in ref
+
     def test_sweep_negative_seed(self, tmp_path, capsys):
         args = ["sweep", "--problem", "toy_kkt", "--out", str(tmp_path / "o"), "--mus", "1", "--seed", "-2"]
         assert main(args) == 1

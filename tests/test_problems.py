@@ -10,6 +10,7 @@ from langopt.problems import (
     bugtrap_ocp,
     get_problem,
     obstacle_penalty,
+    obstacle_value_and_gradient,
     pendulum_dynamics,
     pendulum_ocp,
     rect_signed_distance,
@@ -173,6 +174,69 @@ class TestObstaclePenaltyVectorised:
         assert same_bits(new.val, ref.val)
         assert same_bits(new.eps, ref.eps)
         assert new.eps.shape == (5, 10, 60)
+
+
+class TestObstacleClosedForm:
+    """The closed-form gradient carries the bytes of the dual pass on ``seed(p)``."""
+
+    geom = BugTrapGeometry()
+    # centres (|.| kink at +-0), faces and corners, signed zeros and the far field
+    special = np.array(
+        [
+            (c[0] + sx * h[0], c[1] + sy * h[1])
+            for c, h in ((r.center, r.half) for r in geom.rects)
+            for sx in (-1, 0, 1)
+            for sy in (-1, 0, 1)
+        ]
+        + [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (50.0, -50.0), (-50.0, 50.0), (1e3, 0.0)]
+    )
+
+    def points(self, lead, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(-2.0, 2.0, lead + (2,))
+        flat = p.reshape(-1, 2)
+        k = min(len(flat), len(self.special))
+        flat[:k] = self.special[rng.permutation(len(self.special))[:k]]
+        return p
+
+    def check(self, p):
+        value, grad = obstacle_value_and_gradient(p, self.geom)
+        ref = obstacle_penalty(ad.seed(p), self.geom)
+        ref_grad = np.moveaxis(ref.eps, 0, -1)
+        assert same_bits(value, ref.val)
+        assert grad.shape == ref_grad.shape and np.array_equal(grad, ref_grad)
+        nonzero = ref_grad != 0.0
+        assert same_bits(grad[nonzero], ref_grad[nonzero])
+        assert same_bits(value, obstacle_penalty(p, self.geom))  # the plain value pass too
+
+    @pytest.mark.parametrize("lead", [(), (12,), (10, 60), (64, 60)])
+    def test_bytes_of_the_dual_pass(self, lead):
+        for seed in range(3):
+            self.check(self.points(lead, seed))
+
+    def test_every_special_point_alone(self):
+        for p in self.special:
+            self.check(p)
+
+    def test_strided_positions(self):
+        # the running cost passes x[..., :2] of a stage array: a strided view
+        x = np.concatenate([self.points((10, 60), 5), np.full((10, 60, 1), 0.3)], axis=-1)
+        self.check(x[..., :2])
+
+    def test_running_cost_bytes(self):
+        # the shipped running cost against the same cost with the penalty's dual pass
+        geom, ocp = self.geom, bugtrap_ocp(self.geom)
+        xs = np.concatenate([self.points((10, 60), 7), np.full((10, 60, 1), -0.2)], axis=-1)
+        u = np.random.default_rng(8).uniform(-1.0, 1.0, (10, 60, 2))
+        eps = np.zeros((5, 10, 60, 3))
+        for j in range(3):
+            eps[j, ..., j] = 1.0
+        x = ad.Dual(xs, eps)
+        y = ocp.running_cost(x, u)
+        ref = obstacle_penalty(x[..., :2], geom) + geom.dt * 0.01 * ad.asum(u**2.0, axis=-1)
+        assert same_bits(y.val, ref.val)
+        assert y.eps.shape == ref.eps.shape and np.array_equal(y.eps, ref.eps)
+        assert same_bits(ocp.running_cost(xs, u), ref.val)
 
 
 class TestToyKkt:

@@ -11,6 +11,7 @@ from langopt import (
     BarrierDomainError,
     SolveError,
     SolverConfig,
+    Trace,
     barrier_gradient,
     drift,
     energy,
@@ -76,6 +77,13 @@ class TestConfig:
             ("barrier_weight", math.inf),
             ("barrier_weight", -1.0),
             ("snapshot_stride", 0),
+            ("snapshot_stride", 2.5),
+            ("snapshot_stride", True),
+            ("iterations", 50.0),
+            ("iterations", "50"),
+            ("iterations", False),
+            ("hold", 2.5),
+            ("hold", True),
             ("seed", -1),
             ("seed", 1.5),
             ("seed", True),
@@ -84,6 +92,55 @@ class TestConfig:
             with pytest.raises(ValueError, match=field):
                 SolverConfig(**{field: value})
         assert SolverConfig(seed=np.int64(3)).seed == 3
+        cfg = SolverConfig(iterations=np.int64(50), hold=np.int32(5), snapshot_stride=np.int64(7))
+        assert (cfg.iterations, cfg.hold, cfg.snapshot_stride) == (50, 5, 7)
+
+
+def row_by_row_trace_csv(trace):
+    """The trace CSV written one numpy scalar at a time, as the writers once did."""
+    out = "iter,cost,hsq,energy,sigma\n"
+    for i in range(len(trace.iters)):
+        out += (
+            f"{int(trace.iters[i])},{float(trace.cost[i])!r},{float(trace.hsq[i])!r},"
+            f"{float(trace.energy[i])!r},{float(trace.sigma[i])!r}\n"
+        )
+    return out
+
+
+def row_by_row_snapshots_csv(trace):
+    ncols = trace.snapshots.shape[1] if trace.snapshots.size else 0
+    out = "iter," + ",".join(f"v{j}" for j in range(ncols)) + "\n"
+    for i in range(len(trace.snapshot_iters)):
+        row = ",".join(repr(float(v)) for v in trace.snapshots[i])
+        out += f"{int(trace.snapshot_iters[i])},{row}\n"
+    return out
+
+
+class TestTraceWriters:
+    SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 1.0, -2.5e-300, 0.1])
+
+    def traces(self):
+        v = self.SPECIAL
+        yield Trace(
+            iters=np.arange(10), cost=v, hsq=v[::-1], energy=np.roll(v, 3), sigma=-v,
+            snapshot_iters=np.array([0, 4, 8]), snapshots=np.roll(v, 1)[:9].reshape(3, 3),
+        )
+        yield Trace(iters=np.zeros(0, dtype=int), cost=np.zeros(0), hsq=np.zeros(0), energy=np.zeros(0), sigma=np.zeros(0))
+        zero_cols = Trace(
+            iters=np.arange(2), cost=v[:2], hsq=v[2:4], energy=v[4:6], sigma=v[6:8],
+            snapshot_iters=np.array([0, 1]), snapshots=np.zeros((2, 0)),
+        )
+        yield zero_cols
+        yield solve(toy_kkt_problem(), np.ones(2), config=SolverConfig(iterations=40, snapshot_stride=7)).trace
+
+    def test_bytes_of_the_row_by_row_writers(self, tmp_path):
+        for t in self.traces():
+            for write, ref in ((t.to_csv, row_by_row_trace_csv), (t.snapshots_to_csv, row_by_row_snapshots_csv)):
+                buf = io.StringIO()
+                write(buf)
+                assert buf.getvalue() == ref(t)
+                write(tmp_path / "t.csv")  # a path is opened and closed
+                assert (tmp_path / "t.csv").read_bytes() == ref(t).encode()
 
 
 class TestNoiseSchedule:
