@@ -263,16 +263,24 @@ def where(cond, a, b):
 
 
 def maximum(a, b):
-    """Elementwise max; on ties the first argument's tangent wins."""
+    """Elementwise max; a NaN in either argument wins, as in ``np.maximum``.
+
+    On ties the first argument's tangent wins.
+    """
     if isinstance(a, Dual) or isinstance(b, Dual):
-        return where(value(a) >= value(b), a, b)
+        va = value(a)
+        return where((va >= value(b)) | np.isnan(va), a, b)
     return np.maximum(a, b)
 
 
 def minimum(a, b):
-    """Elementwise min; on ties the first argument's tangent wins."""
+    """Elementwise min; a NaN in either argument wins, as in ``np.minimum``.
+
+    On ties the first argument's tangent wins.
+    """
     if isinstance(a, Dual) or isinstance(b, Dual):
-        return where(value(a) <= value(b), a, b)
+        va = value(a)
+        return where((va <= value(b)) | np.isnan(va), a, b)
     return np.minimum(a, b)
 
 

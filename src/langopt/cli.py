@@ -27,7 +27,7 @@ import numpy as np
 
 from .baselines import _noise_free, bfgs_penalty
 from .problems import PROBLEMS, get_problem
-from .solver import SolverConfig, _check_seed, _check_threads, _reprs, solve_batch
+from .solver import SolverConfig, _check_int, _reprs, solve_batch
 
 SOLVERS = ("diffusion", "gd", "bfgs")
 
@@ -155,8 +155,16 @@ def _validate(cfg: dict) -> None:
         raise ValueError(f"unknown solver {cfg['solver']!r}; valid solvers: {list(SOLVERS)}")
     if int(cfg["batch"]) < 1:
         raise ValueError("batch size must be at least 1")
-    _check_seed(cfg["seed"])  # before the guesses are drawn from it
-    _check_threads(cfg["threads"])  # bfgs never reaches solve_batch's own check
+    _check_int("seed", cfg["seed"], 0)  # before the guesses are drawn from it
+    _check_int("threads", cfg["threads"], 1)  # bfgs never reaches solve_batch's own check
+
+
+def _exit_code(sols) -> int:
+    """0 when every chain completed; otherwise 2, said on stderr once the outputs are written."""
+    if all(sol.success for sol in sols):
+        return 0
+    print("some chains failed; partial outputs retained", file=sys.stderr)
+    return 2
 
 
 def cmd_run(args) -> int:
@@ -188,10 +196,7 @@ def cmd_run(args) -> int:
     }
     with open(out / "summary.json", "w") as f:
         json.dump(summary, f, indent=2)
-    if all(sol.success for sol in sols):
-        return 0
-    print("some chains failed; partial outputs retained", file=sys.stderr)
-    return 2
+    return _exit_code(sols)
 
 
 def cmd_sweep(args) -> int:
@@ -228,7 +233,7 @@ def cmd_sweep(args) -> int:
             f,
             indent=2,
         )
-    return 0 if all(sol.success for sol in sols) else 2
+    return _exit_code(sols)
 
 
 def main(argv=None) -> int:

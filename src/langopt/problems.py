@@ -204,13 +204,15 @@ def obstacle_value_and_gradient(p, geom: BugTrapGeometry, boxes=None):
     q -= half  # in place: a broadcast operand makes the allocating form several times slower
     qx, qy = q
     out = (qx > 0) | (qy > 0)
-    qp = np.where(q >= 0, q, 0.0)
+    # the dual pass's selections, a NaN winning as in ad.maximum / ad.minimum (np.maximum
+    # would also turn the -0.0 it selects into +0.0)
+    qp = np.where((q >= 0) | np.isnan(q), q, 0.0)
     sq = qp[0] * qp[0]
     sq += qp[1] * qp[1]
     r = np.sqrt(np.where(out, sq, 1.0))
-    pick_x = qx >= qy
+    pick_x = (qx >= qy) | np.isnan(qx)
     m = np.where(pick_x, qx, qy)
-    sd = np.where(out, r, 0.0) + np.where(m <= 0, m, 0.0)
+    sd = np.where(out, r, 0.0) + np.where((m <= 0) | np.isnan(m), m, 0.0)
     v = (geom.margin - sd) / geom.smooth_len
     ramp = np.logaddexp(0.0, v) * geom.smooth_len
 

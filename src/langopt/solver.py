@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence, Union
@@ -32,16 +31,20 @@ from .nlp import Layout, NlpProblem, OcpDefinition, join
 _MAX_RETRIES = 20
 
 
-def _check_seed(seed):
-    """Reject a seed that the chains' generators would refuse, naming the field."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+def _check_int(name, v, least):
+    """Reject ``v`` unless it is an integer of at least ``least``, naming the field.
+
+    Numpy integers count; a bool does not.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {v!r}")
 
 
-def _check_threads(threads):
-    """Reject a thread count that is not an integer of at least 1, naming the field."""
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
+def _check_number(name, v):
+    """Reject ``v`` unless it is a finite number, naming the field; numpy numbers count, a bool not."""
+    real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    if not real or not math.isfinite(v):
+        raise ValueError(f"{name} must be a finite number, got {v!r}")
 
 
 class BarrierDomainError(ValueError):
@@ -84,22 +87,16 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("alpha", "mu", "sigma0", "sigma_min", "barrier_weight"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            _check_number(name, getattr(self, name))
+        if self.gamma is not None:
+            _check_number("gamma", self.gamma)
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if not self.mu > 0:
             raise ValueError("mu must be positive")
-        for name in ("iterations", "hold", "snapshot_stride"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be at least 1")
-        _check_seed(self.seed)
-        if not 0 <= self.hold <= self.iterations:
+        for name, least in (("iterations", 1), ("hold", 0), ("snapshot_stride", 1), ("seed", 0)):
+            _check_int(name, getattr(self, name), least)
+        if not self.hold <= self.iterations:
             raise ValueError(
                 f"hold must lie in [0, iterations], got {self.hold} and {self.iterations}"
             )
@@ -161,8 +158,9 @@ class Trace:
 class Solution:
     """Final chain state plus diagnostics; violation and cost are recomputed at output time.
 
-    ``duration_ms`` is the wall time of the thread chunk the chain ran in: a
-    vectorised batch has no per-chain time, so a sweep reports the batch's for every mu.
+    ``duration_ms`` is the wall time of the :func:`solve_batch` call the chain
+    ran in: a vectorised batch has no per-chain time, so every chain of a
+    batch, and every mu of a sweep, reports the batch's.
     """
 
     xbar: np.ndarray
@@ -248,20 +246,22 @@ _BLOCK_ROWS = 16
 
 
 class _Box:
-    """The coordinates with a finite bound, found once per run.
+    """The span of the coordinates with a finite bound, found once per run.
 
-    ``cols`` selects them: a slice when they are contiguous, as the controls
-    of every transcribed problem are, an index array otherwise, and ``None``
-    when there are none. ``lower`` and ``upper`` are the bounds there.
+    ``cols`` is one slice from the first finite-bound coordinate to the last
+    (the controls of every transcribed problem), or ``None`` when there are
+    none; ``lower`` and ``upper`` are the bounds there. An infinite bound
+    inside the span gives the barrier's exact ``+ 0.0`` and never fails
+    :func:`_interior`'s check, so the span keeps the bytes of the bounded
+    coordinates alone.
     """
 
     def __init__(self, lower, upper):
         (idx,) = np.nonzero(np.isfinite(lower) | np.isfinite(upper))
-        if not idx.size:
-            self.cols = None
-            return
-        self.cols = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
-        self.lower, self.upper = lower[self.cols], upper[self.cols]
+        self.cols = None
+        if idx.size:
+            self.cols = slice(idx[0], idx[-1] + 1)
+            self.lower, self.upper = lower[self.cols], upper[self.cols]
 
 
 def _interior(X, box):
@@ -278,7 +278,7 @@ def _drift(nlp, X, Lam, mu, beta, box):
 
     ``v = grad c + J^T (lam + mu h)`` is the gradient of the
     augmented-Lagrangian merit and ``g`` adds ``beta`` times the barrier
-    gradient on ``box``'s finite-bound coordinates; every other coordinate
+    gradient on ``box``'s span of finite-bound coordinates; every other coordinate
     gets the barrier's exact ``+ 0.0`` (1/inf - 1/inf). At ``beta = 0``,
     ``g`` is ``v`` and ``box`` is not read.
     """
@@ -353,8 +353,8 @@ def _advance(nlp, X, Lam, it, config, mu, streams, active, box):
     ``standard_normal(n)`` call per draw would give. At sigma = 0 no noise is
     drawn at all, neither for the step nor for its retries, and the update
     is the plain gradient step. The barrier gradient and the bound checks
-    cover the finite-bound coordinates only; every other coordinate gets the
-    barrier's exact ``+ 0.0``.
+    cover ``box``'s span only; every other coordinate gets the barrier's
+    exact ``+ 0.0``.
     """
     alpha = config.alpha
     beta = config.barrier_weight
@@ -548,12 +548,13 @@ def solve_batch(
 
     Per-chain failures are reported on the corresponding Solution
     (``success=False``, ``config`` the phase it failed in) without aborting
-    the rest of the batch. Results do not depend on ``threads``, an integer
-    of at least 1.
+    the rest of the batch. Every chain runs in one vectorised stack on the
+    calling thread; ``threads``, an integer of at least 1, is validated and
+    changes nothing.
     ``lambda0s`` lets a batch continue from previously obtained multipliers
     (default: zeros).
     """
-    _check_threads(threads)
+    _check_int("threads", threads, 1)
     X0 = np.stack([np.asarray(x, dtype=float) for x in x0s])
     N = X0.shape[0]
     if X0.shape != (N, nlp.n):
@@ -572,31 +573,23 @@ def solve_batch(
         if Lam0.shape != (N, nlp.m):
             raise ValueError(f"lambda0s has shape {Lam0.shape}, expected ({N}, {nlp.m})")
 
-    def run_chunk(idx):
-        t0 = time.perf_counter()
-        out = _run_chains(nlp, box, X0[idx], Lam0[idx], [scheds[j] for j in idx], seeds[idx])
-        dt_ms = (time.perf_counter() - t0) * 1e3
-        return [
-            Solution(
-                xbar=xbar,
-                lam=lam,
-                hsq=float(nlp.constraint_violation(xbar)),
-                cost=float(ad.value(nlp.cost(xbar))),
-                trace=trace,
-                duration_ms=dt_ms,
-                config=cfg,
-                success=err is None,
-                message="ok" if err is None else err,
-            )
-            for xbar, lam, trace, err, cfg in out
-        ]
-
-    if threads == 1 or N == 1:
-        return run_chunk(np.arange(N))
-    chunks = np.array_split(np.arange(N), min(threads, N))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run_chunk, chunks))
-    return [sol for part in parts for sol in part]
+    t0 = time.perf_counter()
+    out = _run_chains(nlp, box, X0, Lam0, scheds, seeds)
+    dt_ms = (time.perf_counter() - t0) * 1e3
+    return [
+        Solution(
+            xbar=xbar,
+            lam=lam,
+            hsq=float(nlp.constraint_violation(xbar)),
+            cost=float(ad.value(nlp.cost(xbar))),
+            trace=trace,
+            duration_ms=dt_ms,
+            config=cfg,
+            success=err is None,
+            message="ok" if err is None else err,
+        )
+        for xbar, lam, trace, err, cfg in out
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,21 @@ class TestDualArithmetic:
         ref = last.reshape(-1, 3).sum(axis=0) if axis is None else last.sum(axis=axis % 2)
         assert np.moveaxis(y.eps, 0, -1).tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize(
+        "op, npop, tangents",
+        [(ad.maximum, np.maximum, [1.0, 7.0, 3.0, 4.0, 10.0]), (ad.minimum, np.minimum, [1.0, 7.0, 3.0, 4.0, 5.0])],
+    )
+    def test_nan_operand_wins(self, op, npop, tangents):
+        # as in np.maximum / np.minimum, whichever argument holds the NaN; a tie keeps a's tangent
+        a = Dual(np.array([np.nan, 1.0, np.nan, 2.0, 2.0]), np.array([[1.0, 2.0, 3.0, 4.0, 5.0]]))
+        b = Dual(np.array([1.0, np.nan, np.nan, 2.0, 3.0]), np.array([[6.0, 7.0, 8.0, 9.0, 10.0]]))
+        y = op(a, b)
+        assert np.array_equal(y.val, npop(a.val, b.val), equal_nan=True)
+        assert np.array_equal(y.eps[0], tangents)
+        for plain in (np.nan, 0.5):  # a constant operand
+            assert np.array_equal(op(a, plain).val, npop(a.val, plain), equal_nan=True)
+            assert np.array_equal(op(plain, b).val, npop(plain, b.val), equal_nan=True)
+
     def test_constructor_broadcasts_tangents(self):
         x = Dual(np.zeros((2, 3)), np.array([1.0, -1.0]))
         assert x.eps.shape == (2, 2, 3)

@@ -293,7 +293,7 @@ class TestSweep:
         assert summary["mus"] == [0.1, 1.0, 10.0]
         assert len(summary["chains"]) == 3
 
-    def test_sweep_csv_bytes_of_the_row_by_row_writer(self, tmp_path, monkeypatch):
+    def test_sweep_csv_bytes_of_the_row_by_row_writer(self, tmp_path, monkeypatch, capsys):
         # a huge mu blows up: its chain fails and its hsq column holds non-finite values
         runs = []
         run_solver = langopt.cli._run_solver
@@ -302,6 +302,7 @@ class TestSweep:
         with np.errstate(all="ignore"):
             code = main(["sweep", "--problem", "toy_kkt", "--out", str(out), "--mus", "0.1,2.5,1e300", *FAST])
         assert code == 2
+        assert "some chains failed; partial outputs retained" in capsys.readouterr().err
         ref = "mu,iter,hsq\n"
         for mu, sol in zip([0.1, 2.5, 1e300], runs[0][1]):
             for it, hsq in zip(sol.trace.iters, sol.trace.hsq):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import langopt.autodiff as ad
+from langopt import Layout, join, split
 from langopt.autodiff import check_gradient
 from langopt.problems import (
     BugTrapGeometry,
@@ -237,6 +238,32 @@ class TestObstacleClosedForm:
         assert same_bits(y.val, ref.val)
         assert y.eps.shape == ref.eps.shape and np.array_equal(y.eps, ref.eps)
         assert same_bits(ocp.running_cost(xs, u), ref.val)
+
+
+class TestObstacleNaN:
+    """A NaN position reads NaN in every form of the penalty, as ``np.maximum`` keeps it."""
+
+    geom = BugTrapGeometry()
+
+    @pytest.mark.parametrize("p", [(np.nan, 0.0), (0.0, np.nan), (-1.0, np.nan), (np.nan, np.nan)])
+    def test_every_reading_is_nan(self, p):
+        p = np.array(p)
+        with np.errstate(invalid="ignore"):
+            plain = obstacle_penalty(p, self.geom)
+            dual = obstacle_penalty(ad.seed(p), self.geom)
+            value, grad = obstacle_value_and_gradient(p, self.geom)
+        assert np.isnan(plain) and np.isnan(dual.val) and np.isnan(value)
+        assert np.all(np.isnan(dual.eps)) and np.all(np.isnan(grad))
+
+    def test_bugtrap_cost_of_a_nan_position(self):
+        bundle = get_problem("bugtrap")
+        layout = Layout(bundle.ocp.K, bundle.ocp.nx, bundle.ocp.nu)
+        z = bundle.guess(np.random.default_rng(0))
+        U, X = split(z.copy(), layout)
+        X[3, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            assert np.isfinite(bundle.nlp.cost(z))
+            assert np.isnan(bundle.nlp.cost(join(U, X, layout)))
 
 
 class TestToyKkt:

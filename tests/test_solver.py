@@ -1,12 +1,17 @@
+import ast
 import dataclasses
 import io
 import math
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import langopt
 from langopt import (
     BarrierDomainError,
     SolveError,
@@ -88,12 +93,19 @@ class TestConfig:
             ("seed", 1.5),
             ("seed", True),
             ("seed", "3"),
+            ("alpha", True),
+            ("gamma", True),
+            ("alpha", "0.1"),
+            ("mu", None),
+            ("gamma", "0.5"),
         ]:
             with pytest.raises(ValueError, match=field):
                 SolverConfig(**{field: value})
         assert SolverConfig(seed=np.int64(3)).seed == 3
         cfg = SolverConfig(iterations=np.int64(50), hold=np.int32(5), snapshot_stride=np.int64(7))
         assert (cfg.iterations, cfg.hold, cfg.snapshot_stride) == (50, 5, 7)
+        cfg = SolverConfig(alpha=np.float32(0.5), mu=3, sigma0=np.int64(1), gamma=np.float64(0.9))
+        assert (cfg.alpha, cfg.mu, cfg.sigma0, cfg.gamma) == (0.5, 3, 1, 0.9)
 
 
 def row_by_row_trace_csv(trace):
@@ -548,7 +560,7 @@ class TestGappedBounds:
     def test_kernel_equals_reference(self, sigma0):
         nlp = gapped_box(1e4)
         box = _Box(nlp.lower, nlp.upper)
-        assert np.array_equal(box.cols, [0, 2])  # the index-array path, not a slice
+        assert box.cols == slice(0, 3)  # one span, x_1's infinite bounds inside it
         cfg = SolverConfig(sigma0=sigma0, sigma_min=0.0, gamma=1.0, iterations=10, seed=8)
         N, n = self.X0.shape
         rngs = [np.random.default_rng(cfg.seed + j) for j in range(N)]
@@ -696,6 +708,23 @@ class TestSolveBatch:
             assert np.array_equal(sa.xbar, sb.xbar)
             assert np.array_equal(sa.trace.hsq, sb.trace.hsq)
 
+    def test_threads_start_no_thread(self, monkeypatch):
+        nlp = boxed_toy(-5.0, 5.0)
+        cfg = SolverConfig(iterations=200, sigma0=1.0, seed=3)
+        x0s = [np.full(2, 0.5 * i - 1.0) for i in range(5)]
+        one = solve_batch(nlp, x0s, cfg, threads=1)
+
+        def refuse(self):
+            raise AssertionError("solve_batch started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        four = solve_batch(nlp, x0s, cfg, threads=4)
+        for a, b in zip(one, four):
+            assert a.xbar.tobytes() == b.xbar.tobytes() and a.lam.tobytes() == b.lam.tobytes()
+            for name in ("cost", "hsq", "energy", "sigma", "snapshots"):
+                assert getattr(a.trace, name).tobytes() == getattr(b.trace, name).tobytes()
+            assert (a.success, a.message) == (b.success, b.message)
+
     @pytest.mark.parametrize("threads", [0, -3, 1.5, 2.0, "2", True])
     def test_bad_thread_count_rejected(self, threads):
         with pytest.raises(ValueError, match="threads"):
@@ -710,6 +739,20 @@ class TestSolveBatch:
         assert np.array_equal(sol.xbar, ref.xbar)
         with pytest.raises(ValueError):
             solve_batch(nlp, [np.ones(2)], cfg, lambda0s=[np.zeros(2)])
+
+
+def test_library_imports_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "langopt"}
+    for path in Path(langopt.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
 
 
 class TestTrajectoryGuess:
