@@ -37,14 +37,17 @@ class OcpDefinition:
 
     :func:`transcribe` reads their derivatives only through three stage
     oracles on plain arrays, with ``d = nx + nu`` stage coordinates (states
-    first):
+    first). Derivatives are tangent-major, with ``...`` the stage lead shape
+    ``x.shape[:-1]``, so ``F[i, j]`` is the block of d f_i / d (x, u)_j over
+    all stages:
 
-    - ``dynamics_and_jacobian(x, u) -> (f (..., nx), F (..., nx, d))``
-    - ``running_cost_and_gradient(x, u) -> (l (...,), g (..., d))``
-    - ``terminal_cost_and_gradient(x) -> (phi (...,), g (..., nx))``
+    - ``dynamics_and_jacobian(x, u) -> (f (..., nx), F (nx, d, ...))``
+    - ``running_cost_and_gradient(x, u) -> (l (...,), g (d, ...))``
+    - ``terminal_cost_and_gradient(x) -> (phi (...,), g (nx, ...))``
 
-    Each must match its callable. One left ``None`` is filled in by
-    ``transcribe`` with one dual-number pass over the callable.
+    Each must match its callable; ``transcribe`` rejects an output of another
+    shape. One left ``None`` is filled in by ``transcribe`` with one
+    dual-number pass over the callable.
     """
 
     K: int
@@ -181,17 +184,12 @@ class NlpProblem:
         return np.sum(h * h, axis=-1)
 
 
-def _stage_vtj(W, F):
-    """Per-stage ``W^T F``: ``(..., K, nx)`` with ``(..., K, nx, d)`` -> ``(..., K, d)``.
-
-    Accumulates the ``nx`` rows in order onto zeros, which is bit-equal to
-    ``einsum("...kij,...ki->...kj", F, W)`` and several times faster on the
-    strided stage-Jacobian views.
-    """
-    out = np.zeros(np.broadcast_shapes(W.shape[:-1], F.shape[:-2]) + F.shape[-1:])
-    for i in range(F.shape[-2]):
-        out += W[..., i, None] * F[..., i, :]
-    return out
+def _check_shapes(oracle, names, arrays, shapes):
+    """Raise a ValueError naming ``oracle`` unless each array has its contract shape."""
+    for name, a, shape in zip(names, arrays, shapes):
+        if np.shape(a) != shape:
+            raise ValueError(f"{oracle} returned {name} of shape {np.shape(a)}, expected {shape}")
+    return arrays
 
 
 def rollout(ocp: OcpDefinition, controls, x0=None) -> np.ndarray:
@@ -215,8 +213,12 @@ def transcribe(ocp: OcpDefinition) -> NlpProblem:
     Constraint ordering: K dynamics defects ``x_{k+1} - f(x_k, u_k)`` for
     k = 0..K-1, then the initial-condition block ``x_0 - x_init``. The
     derivative oracles run the OCP's stage oracles once per call over all
-    stages; a stage oracle the OCP leaves ``None`` is a dual-number pass over
-    its callable, with ``d = nx + nu`` seed tangents per stage.
+    stages and reject an output whose shape breaks the tangent-major contract
+    of :class:`OcpDefinition`: over stages ``(..., K)``, ``F (nx, d, ..., K)``
+    and ``g (d, ..., K)``, and ``g (nx, ...)`` at the last knot. A stage
+    oracle the OCP leaves ``None`` is a dual-number pass over its callable,
+    with ``d = nx + nu`` seed tangents per stage, whose ``eps`` is already
+    tangent-major. The VJP adds the rows ``W[..., i] * F[i]`` in order.
     """
     layout = Layout(K=ocp.K, nx=ocp.nx, nu=ocp.nu)
     K, nx, nu = layout.K, layout.nx, layout.nu
@@ -246,17 +248,19 @@ def transcribe(ocp: OcpDefinition) -> NlpProblem:
 
     def dual_dynamics(xs, U):
         f = ocp.dynamics(*stage_seeds(xs, U))
-        return f.val, np.moveaxis(f.eps, 0, -1)  # (..., K, nx, d), tangent-last view
+        return f.val, np.moveaxis(f.eps, -1, 0)  # (d, ..., K, nx) viewed as (nx, d, ..., K)
 
     def dual_running_cost(xs, U):
         lc = stage_costs(ocp.running_cost(*stage_seeds(xs, U)), xs.shape[:-2])
         if isinstance(lc, ad.Dual):
-            return lc.val, np.moveaxis(lc.eps, 0, -1)  # (..., K, d), tangent-last view
-        return lc, np.zeros(lc.shape + (d,))  # a constant running cost
+            return lc.val, lc.eps
+        return lc, np.zeros((d,) + lc.shape)  # a constant running cost
 
     def dual_terminal_cost(x):
-        phi, g = ad._forward(ocp.terminal_cost, x)
-        return phi, np.zeros(x.shape) if g is None else g  # zeros for a constant
+        phi = ocp.terminal_cost(ad.seed(x))
+        if isinstance(phi, ad.Dual):
+            return phi.val, phi.eps
+        return np.broadcast_to(ad.value(phi), x.shape[:-1]), np.zeros((nx,) + x.shape[:-1])  # a constant
 
     dynamics_and_jacobian = ocp.dynamics_and_jacobian or dual_dynamics
     running_cost_and_gradient = ocp.running_cost_and_gradient or dual_running_cost
@@ -279,37 +283,54 @@ def transcribe(ocp: OcpDefinition) -> NlpProblem:
     def cost_and_gradient(z):
         z = np.asarray(z, dtype=float)
         U, X = split(z, layout)
-        lc, lg = running_cost_and_gradient(X[..., :K, :], U)  # (..., K), (..., K, d)
-        term, tg = terminal_cost_and_gradient(X[..., K, :])
+        lead = X.shape[:-2]
+        lc, lg = _check_shapes(
+            "running_cost_and_gradient", ("l", "g"),
+            running_cost_and_gradient(X[..., :K, :], U), (lead + (K,), (d,) + lead + (K,)),
+        )
+        term, tg = _check_shapes(
+            "terminal_cost_and_gradient", ("phi", "g"),
+            terminal_cost_and_gradient(X[..., K, :]), (lead, (nx,) + lead),
+        )
         val = lc.sum(axis=-1) + term
         g = np.zeros(z.shape)
         gu, gx = split(g, layout)  # views into g
-        for j in range(nu):  # one stage coordinate at a time: about twice as fast as one strided copy
-            gu[..., j] = lg[..., nx + j]
+        for j in range(nu):  # each contiguous gradient block into its strided column
+            gu[..., j] = lg[nx + j]
         for j in range(nx):
-            gx[..., :K, j] = lg[..., j]
-        gx[..., K, :] += tg
+            gx[..., :K, j] = lg[j]
+            gx[..., K, j] += tg[j]
         return val, g
 
     def constraints_with_vjp(z):
         z = np.asarray(z, dtype=float)
         U, X = split(z, layout)
-        f, F = dynamics_and_jacobian(X[..., :K, :], U)  # (..., K, nx), (..., K, nx, d)
-        Fx = F[..., :nx]  # (..., K, nx, nx): d f_i / d x_j
-        Fu = F[..., nx:]  # (..., K, nx, nu)
+        stages = X.shape[:-2] + (K,)
+        f, F = _check_shapes(
+            "dynamics_and_jacobian", ("f", "F"),
+            dynamics_and_jacobian(X[..., :K, :], U), (stages + (nx,), (nx, d) + stages),
+        )
         defects = X[..., 1:, :] - f
         init = X[..., 0, :] - ocp.x_init
         h = np.concatenate([defects.reshape(defects.shape[:-2] + (K * nx,)), init], axis=-1)
 
         def vjp(w):
-            W = w[..., : K * nx].reshape(w.shape[:-1] + (K, nx))
-            w0 = w[..., K * nx :]
-            gu = -_stage_vtj(W, Fu)
-            gx = np.zeros(w.shape[:-1] + (K + 1, nx))
+            lead = w.shape[:-1]
+            W = w[..., : K * nx].reshape(lead + (K, nx))
+            # w may carry more lead axes than z (vjp(np.eye(m))): F's rows broadcast after d
+            rows = F.reshape((nx, d) + (1,) * (len(lead) + 3 - F.ndim) + F.shape[2:])
+            t = np.zeros((d,) + lead + (K,))  # per-stage W^T F, rows added in order
+            for i in range(nx):
+                t += W[..., i] * rows[i]
+            g = np.zeros(lead + (layout.n,))
+            gu, gx = split(g, layout)  # views into g
+            for j in range(nu):
+                gu[..., j] = -t[nx + j]
             gx[..., 1:, :] += W
-            gx[..., :K, :] -= _stage_vtj(W, Fx)
-            gx[..., 0, :] += w0
-            return join(gu, gx, layout)
+            for j in range(nx):
+                gx[..., :K, j] -= t[j]
+            gx[..., 0, :] += w[..., K * nx :]
+            return g
 
         return h, vjp
 

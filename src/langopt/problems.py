@@ -63,7 +63,9 @@ def _seeds(d, ndim):
     ``e[i]`` is coordinate i's tangent along each of the d directions,
     broadcasting against ``ndim`` value axes: the stage oracles below run the
     dual pass's tangent arithmetic on it in place of a ``Dual``, in the same
-    order, so they carry its bytes, a non-finite input's NaN included.
+    order, so they carry its bytes, a non-finite input's NaN included. Their
+    derivatives come out tangent-major, ``(d,) + lead``, the layout
+    :class:`~langopt.nlp.OcpDefinition` asks for.
     """
     return np.eye(d).reshape((d, d) + (1,) * ndim)
 
@@ -72,7 +74,9 @@ def pendulum_ocp(params: PendulumParams = PendulumParams()) -> OcpDefinition:
     """Swingup from hanging ([pi, 0]) to upright, with strict torque limits.
 
     The stage oracles are the dual pass over the callables, run on
-    :func:`_seeds` (stage coordinates [theta, theta_dot, tau]).
+    :func:`_seeds` (stage coordinates [theta, theta_dot, tau]); the dynamics
+    oracle computes ``f`` in the same pass, with the operations of
+    :func:`pendulum_dynamics`.
     """
     mgl = params.m * params.g * params.l
     inertia = params.m * params.l**2
@@ -82,13 +86,17 @@ def pendulum_ocp(params: PendulumParams = PendulumParams()) -> OcpDefinition:
         return pendulum_dynamics(x, u, params)
 
     def dynamics_and_jacobian(x, u):
-        theta = x[..., 0]
+        theta, theta_dot = x[..., 0], x[..., 1]
+        shifted = theta - np.pi
+        f = np.empty(x.shape)
+        f[..., 0] = theta + params.dt * theta_dot
+        f[..., 1] = theta_dot + params.dt * ((u[..., 0] - mgl * np.sin(shifted)) / inertia)
         e = _seeds(3, theta.ndim)
-        theta_ddot = (e[2] - np.cos(theta - np.pi) * e[0] * mgl) / inertia
-        F = np.empty((2, 3) + theta.shape)  # row, tangent, stage: returned as a tangent-last view
+        theta_ddot = (e[2] - np.cos(shifted) * e[0] * mgl) / inertia
+        F = np.empty((2, 3) + theta.shape)  # row, tangent, stage
         F[0] = e[0] + e[1] * params.dt
         F[1] = e[1] + theta_ddot * params.dt
-        return dynamics(x, u), np.moveaxis(F, (0, 1), (-2, -1))
+        return f, F
 
     def running_cost(x, u):
         return effort * ad.asum(u**2.0, axis=-1)
@@ -96,7 +104,7 @@ def pendulum_ocp(params: PendulumParams = PendulumParams()) -> OcpDefinition:
     def running_cost_and_gradient(x, u):
         e = _seeds(3, u.ndim - 1)
         g = (0.0 + 2.0 * u[..., 0] ** 1.0 * e[2]) * effort  # Dual.sum adds onto +0.0
-        return running_cost(x, u), np.moveaxis(g, 0, -1)
+        return running_cost(x, u), g
 
     def terminal_cost(x):
         theta = x[..., 0]
@@ -106,7 +114,7 @@ def pendulum_ocp(params: PendulumParams = PendulumParams()) -> OcpDefinition:
     def terminal_cost_and_gradient(x):
         e = _seeds(2, x.ndim - 1)
         g = 2.0 * x[..., 0] ** 1.0 * e[0] * 10.0 + 2.0 * x[..., 1] ** 1.0 * e[1] * 1.0
-        return terminal_cost(x), np.moveaxis(g, 0, -1)
+        return terminal_cost(x), g
 
     return OcpDefinition(
         K=params.K,
@@ -223,7 +231,7 @@ def _box_arrays(geom: BugTrapGeometry):
 
 
 def obstacle_value_and_gradient(p, geom: BugTrapGeometry, boxes=None):
-    """:func:`obstacle_penalty` of plain points ``(..., 2)`` and its gradient ``(..., 2)``.
+    """:func:`obstacle_penalty` of plain points ``(..., 2)`` and its gradient, tangent-major ``(2, ...)``.
 
     The derivative is written in closed form as the operations the dual pass
     ``obstacle_penalty(ad.seed(p), geom)`` runs, in its order, so the value
@@ -238,7 +246,7 @@ def obstacle_value_and_gradient(p, geom: BugTrapGeometry, boxes=None):
     center, half = _box_arrays(geom) if boxes is None else boxes
     p = np.asarray(p, dtype=float)
     lead = p.shape[:-1]
-    d = np.moveaxis(p, -1, 0).reshape(2, 1, -1) - center  # (2, R, M): axis, rectangle, point
+    d = p.reshape(-1, 2).T[:, None] - center  # (2, R, M): axis, rectangle, point
     s = np.where(d >= 0, 1.0, -1.0)  # the sign |.| differentiates with: +1 at -0.0
     q = np.abs(d)
     q -= half  # in place: a broadcast operand makes the allocating form several times slower
@@ -274,7 +282,7 @@ def obstacle_value_and_gradient(p, geom: BugTrapGeometry, boxes=None):
         grad += dramp[:, i]
     total *= geom.w_obs
     grad *= geom.w_obs
-    return total.reshape(lead), np.moveaxis(grad.reshape((2,) + lead), 0, -1)
+    return total.reshape(lead), grad.reshape((2,) + lead)
 
 
 def bugtrap_ocp(geom: BugTrapGeometry = BugTrapGeometry()) -> OcpDefinition:
@@ -282,7 +290,9 @@ def bugtrap_ocp(geom: BugTrapGeometry = BugTrapGeometry()) -> OcpDefinition:
 
     The stage oracles are the dual pass over the callables, run on
     :func:`_seeds` (stage coordinates [px, py, theta, v, omega]), with the
-    obstacle term's gradient from :func:`obstacle_value_and_gradient`.
+    obstacle term's gradient from :func:`obstacle_value_and_gradient`; the
+    dynamics oracle computes ``f`` in the same pass, with the operations of
+    :func:`unicycle_dynamics`.
     """
     boxes = _box_arrays(geom)
     dt = geom.dt
@@ -294,15 +304,19 @@ def bugtrap_ocp(geom: BugTrapGeometry = BugTrapGeometry()) -> OcpDefinition:
 
     def dynamics_and_jacobian(x, u):
         theta, v = x[..., 2], u[..., 0]
-        e = _seeds(5, theta.ndim)
         cos, sin = np.cos(theta), np.sin(theta)
+        f = np.empty(x.shape)
+        f[..., 0] = x[..., 0] + dt * (v * cos)
+        f[..., 1] = x[..., 1] + dt * (v * sin)
+        f[..., 2] = theta + dt * u[..., 1]
+        e = _seeds(5, theta.ndim)
         vx = e[3] * cos + -sin * e[2] * v  # the tangents of v * cos(theta)
         vy = e[3] * sin + cos * e[2] * v
-        F = np.empty((3, 5) + theta.shape)  # row, tangent, stage: returned as a tangent-last view
+        F = np.empty((3, 5) + theta.shape)  # row, tangent, stage
         F[0] = e[0] + vx * dt
         F[1] = e[1] + vy * dt
         F[2] = e[2] + e[4] * dt
-        return dynamics(x, u), np.moveaxis(F, (0, 1), (-2, -1))
+        return f, F
 
     def running_cost(x, u):
         return obstacle_penalty(x[..., :2], geom) + effort * ad.asum(u**2.0, axis=-1)
@@ -311,8 +325,8 @@ def bugtrap_ocp(geom: BugTrapGeometry = BugTrapGeometry()) -> OcpDefinition:
         obs, dobs = obstacle_value_and_gradient(x[..., :2], geom, boxes)
         e = _seeds(5, obs.ndim)
         du = 2.0 * u**1.0
-        g = dobs[..., 0] * e[0] + dobs[..., 1] * e[1] + (0.0 + du[..., 0] * e[3] + du[..., 1] * e[4]) * effort
-        return obs + effort * np.sum(u**2.0, axis=-1), np.moveaxis(g, 0, -1)
+        g = dobs[0] * e[0] + dobs[1] * e[1] + (0.0 + du[..., 0] * e[3] + du[..., 1] * e[4]) * effort
+        return obs + effort * np.sum(u**2.0, axis=-1), g
 
     def terminal_cost(x):
         dp = x[..., :2] - goal
@@ -322,7 +336,7 @@ def bugtrap_ocp(geom: BugTrapGeometry = BugTrapGeometry()) -> OcpDefinition:
         e = _seeds(3, x.ndim - 1)
         two_dp = 2.0 * (x[..., :2] - goal) ** 1.0
         g = (0.0 + two_dp[..., 0] * e[0] + two_dp[..., 1] * e[1]) * geom.w_goal
-        return terminal_cost(x), np.moveaxis(g, 0, -1)
+        return terminal_cost(x), g
 
     return OcpDefinition(
         K=geom.K,

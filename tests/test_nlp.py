@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -313,25 +314,57 @@ def same_or_both_nan(a, b):
     return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
 
 
+def assert_same_oracle_bytes(nlp, ref, bundle, rng, lead):
+    """``nlp`` and ``ref`` give the same cost, gradient, residual and VJP bytes on special points."""
+    for _ in range(3):
+        z = special_batch(bundle, rng, lead or (1,)).reshape(lead + (nlp.n,))
+        w = rng.standard_normal(lead + (nlp.m,))
+        c, g = nlp.cost_and_gradient(z)
+        c_ref, g_ref = ref.cost_and_gradient(z)
+        assert c.shape == c_ref.shape and c.tobytes() == c_ref.tobytes()
+        assert g.shape == g_ref.shape and g.tobytes() == g_ref.tobytes()
+        h, vjp = nlp.constraints_with_vjp(z)
+        h_ref, vjp_ref = ref.constraints_with_vjp(z)
+        assert h.shape == h_ref.shape and h.tobytes() == h_ref.tobytes()
+        assert vjp(w).tobytes() == vjp_ref(w).tobytes()
+
+
 @pytest.mark.parametrize("problem", ["pendulum", "bugtrap"])
 class TestStageOracles:
     """The paper problems' closed-form stage oracles carry the bytes of ``transcribe``'s dual pass."""
 
+    # the one stage oracle each problem leaves to the dual pass in the mixed test
+    dual_one = {"pendulum": "running_cost_and_gradient", "bugtrap": "dynamics_and_jacobian"}
+
     @pytest.mark.parametrize("lead", [(), (1,), (10,), (64,)])
     def test_nlp_oracle_bytes(self, problem, lead):
-        bundle, rng = get_problem(problem), np.random.default_rng(3)
+        bundle = get_problem(problem)
         dual = transcribe(dual_fallback(bundle.ocp))
-        for _ in range(3):
-            z = special_batch(bundle, rng, lead or (1,)).reshape(lead + (bundle.nlp.n,))
-            w = rng.standard_normal(lead + (bundle.nlp.m,))
-            c, g = bundle.nlp.cost_and_gradient(z)
-            c_ref, g_ref = dual.cost_and_gradient(z)
-            assert c.shape == c_ref.shape and c.tobytes() == c_ref.tobytes()
-            assert g.shape == g_ref.shape and g.tobytes() == g_ref.tobytes()
-            h, vjp = bundle.nlp.constraints_with_vjp(z)
-            h_ref, vjp_ref = dual.constraints_with_vjp(z)
-            assert h.shape == h_ref.shape and h.tobytes() == h_ref.tobytes()
-            assert vjp(w).tobytes() == vjp_ref(w).tobytes()
+        assert_same_oracle_bytes(bundle.nlp, dual, bundle, np.random.default_rng(3), lead)
+
+    @pytest.mark.parametrize("lead", [(), (10,)])
+    def test_one_dual_oracle_mixes_with_the_closed_forms(self, problem, lead):
+        bundle = get_problem(problem)
+        mixed = transcribe(dataclasses.replace(bundle.ocp, **{self.dual_one[problem]: None}))
+        dual = transcribe(dual_fallback(bundle.ocp))
+        assert_same_oracle_bytes(mixed, dual, bundle, np.random.default_rng(4), lead)
+
+    @pytest.mark.parametrize("lead", [(), (1,), (10,), (64,)])
+    def test_dynamics_value_has_the_bytes_of_the_callable(self, problem, lead):
+        ocp = get_problem(problem).ocp
+        rng = np.random.default_rng(6)
+        values = np.array([0.0, -0.0, np.pi / 2, np.nan, np.inf, -np.inf])
+
+        def stage(size):
+            special = rng.choice(values, lead + (size,))
+            return np.where(rng.random(lead + (size,)) < 0.5, special, rng.uniform(-3, 3, lead + (size,)))
+
+        for _ in range(5):
+            x, u = stage(ocp.nx), stage(ocp.nu)
+            with np.errstate(invalid="ignore", over="ignore"):
+                f, _ = ocp.dynamics_and_jacobian(x, u)
+                ref = ocp.dynamics(x, u)
+            assert same_or_both_nan(f, ref)
 
     def test_stage_oracles_equal_the_dual_pass_at_non_finite_inputs(self, problem):
         ocp = get_problem(problem).ocp
@@ -349,9 +382,9 @@ class TestStageOracles:
             l = ocp.running_cost(xd, ud)
             phi = ocp.terminal_cost(ad.seed(x))
             pairs = [
-                (ocp.dynamics_and_jacobian(x, u), (f.val, np.moveaxis(f.eps, 0, -1))),
-                (ocp.running_cost_and_gradient(x, u), (l.val, np.moveaxis(l.eps, 0, -1))),
-                (ocp.terminal_cost_and_gradient(x), (phi.val, np.moveaxis(phi.eps, 0, -1))),
+                (ocp.dynamics_and_jacobian(x, u), (f.val, np.moveaxis(f.eps, -1, 0))),  # (nx, d, 40)
+                (ocp.running_cost_and_gradient(x, u), (l.val, l.eps)),
+                (ocp.terminal_cost_and_gradient(x), (phi.val, phi.eps)),
             ]
         for got, ref in pairs:
             for a, b in zip(got, ref):
@@ -388,6 +421,54 @@ class TestStageOracles:
             for name in ("cost", "hsq", "energy", "snapshots"):
                 assert same_or_both_nan(getattr(a.trace, name), getattr(b.trace, name))
             assert a.xbar.tobytes() == b.xbar.tobytes() and a.lam.tobytes() == b.lam.tobytes()
+
+
+class TestStageOracleShapes:
+    """``transcribe`` rejects a stage oracle whose output breaks the tangent-major contract."""
+
+    def test_tangent_last_jacobian_rejected(self):
+        ocp = pendulum_ocp()
+
+        def tangent_last(x, u):
+            f, F = ocp.dynamics_and_jacobian(x, u)
+            return f, np.moveaxis(F, (0, 1), (-2, -1))  # (..., nx, d): the old layout
+
+        nlp = transcribe(dataclasses.replace(ocp, dynamics_and_jacobian=tangent_last))
+        z = np.zeros((4, nlp.n))
+        msg = "dynamics_and_jacobian returned F of shape (4, 50, 2, 3), expected (2, 3, 4, 50)"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            nlp.constraints_with_vjp(z)
+
+    def test_running_cost_gradient_of_wrong_shape_rejected(self):
+        ocp = pendulum_ocp()
+
+        def short_gradient(x, u):
+            l, g = ocp.running_cost_and_gradient(x, u)
+            return l, g[1:]  # the first state's tangent left out
+
+        nlp = transcribe(dataclasses.replace(ocp, running_cost_and_gradient=short_gradient))
+        msg = "running_cost_and_gradient returned g of shape (2, 50), expected (3, 50)"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            nlp.cost_and_gradient(np.zeros(nlp.n))
+
+    def test_terminal_value_of_wrong_shape_rejected(self):
+        ocp = pendulum_ocp()
+        nlp = transcribe(dataclasses.replace(ocp, terminal_cost_and_gradient=lambda x: (0.0, np.zeros((2,) + x.shape[:-1]))))
+        msg = "terminal_cost_and_gradient returned phi of shape (), expected (3,)"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            nlp.cost_and_gradient(np.zeros((3, nlp.n)))
+
+
+def test_dense_jacobian_from_an_unbatched_vjp():
+    """``vjp(np.eye(m))`` at one point broadcasts the stage Jacobian over the m rows of w."""
+    for name in ("pendulum", "bugtrap"):
+        bundle = get_problem(name)
+        nlp = bundle.nlp
+        z = bundle.guess(np.random.default_rng(2))
+        w = np.eye(nlp.m)
+        J = nlp.constraints_with_vjp(z)[1](w)
+        assert J.shape == (nlp.m, nlp.n)
+        assert J.tobytes() == nlp.constraints_with_vjp(np.tile(z, (nlp.m, 1)))[1](w).tobytes()
 
 
 def test_generic_oracles_without_constraints():
