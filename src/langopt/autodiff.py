@@ -226,7 +226,8 @@ def absolute(x):
 
 def _sigmoid(v):
     ev = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + ev), ev / (1.0 + ev))
+    den = 1.0 + ev
+    return np.where(v >= 0, 1.0 / den, ev / den)
 
 
 def softplus(x):

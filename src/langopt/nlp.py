@@ -248,7 +248,10 @@ def transcribe(ocp: OcpDefinition) -> NlpProblem:
 
     def dual_dynamics(xs, U):
         f = ocp.dynamics(*stage_seeds(xs, U))
-        return f.val, np.moveaxis(f.eps, -1, 0)  # (d, ..., K, nx) viewed as (nx, d, ..., K)
+        if isinstance(f, ad.Dual):
+            return f.val, np.moveaxis(f.eps, -1, 0)  # (d, ..., K, nx) viewed as (nx, d, ..., K)
+        stages = xs.shape[:-1]
+        return np.broadcast_to(f, stages + (nx,)), np.zeros((nx, d) + stages)  # a constant
 
     def dual_running_cost(xs, U):
         lc = stage_costs(ocp.running_cost(*stage_seeds(xs, U)), xs.shape[:-2])

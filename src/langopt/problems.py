@@ -61,10 +61,10 @@ def _seeds(d, ndim):
     """Identity seed tangents of ``d`` stage coordinates, as ``(d, d) + (1,) * ndim``.
 
     ``e[i]`` is coordinate i's tangent along each of the d directions,
-    broadcasting against ``ndim`` value axes: the stage oracles below run the
+    broadcasting against ``ndim`` value axes: the cost oracles below run the
     dual pass's tangent arithmetic on it in place of a ``Dual``, in the same
     order, so they carry its bytes, a non-finite input's NaN included. Their
-    derivatives come out tangent-major, ``(d,) + lead``, the layout
+    gradients come out tangent-major, ``(d,) + lead``, the layout
     :class:`~langopt.nlp.OcpDefinition` asks for.
     """
     return np.eye(d).reshape((d, d) + (1,) * ndim)
@@ -73,14 +73,23 @@ def _seeds(d, ndim):
 def pendulum_ocp(params: PendulumParams = PendulumParams()) -> OcpDefinition:
     """Swingup from hanging ([pi, 0]) to upright, with strict torque limits.
 
-    The stage oracles are the dual pass over the callables, run on
-    :func:`_seeds` (stage coordinates [theta, theta_dot, tau]); the dynamics
-    oracle computes ``f`` in the same pass, with the operations of
-    :func:`pendulum_dynamics`.
+    Stage coordinates are [theta, theta_dot, tau]. Every stage oracle
+    carries the bytes of the dual pass over its callable, NaN positions
+    included. The cost oracles run that pass on :func:`_seeds`. The dynamics
+    oracle computes ``f`` with the operations of :func:`pendulum_dynamics`
+    and its Jacobian at its structure, one ``(...)`` plane per entry: the
+    one varying entry, ``d f_1 / d theta``, runs the dual pass's operations
+    in its order; the constant entries of row 1 are the constant plus a
+    NaN-carrying zero plane, ``0.0 - cos * 0.0``, which is +0.0 where
+    ``cos(theta - pi)`` is finite and NaN where the dual pass gives NaN;
+    row 0 does not depend on the input and is a plain fill.
     """
     mgl = params.m * params.g * params.l
     inertia = params.m * params.l**2
     effort = params.dt * 0.01
+    # the Jacobian's input-independent entries, as the dual pass forms them
+    row0 = np.array([1.0, 0.0 + 1.0 * params.dt, 0.0])
+    rate_tau = 0.0 + ((1.0 - 0.0) / inertia) * params.dt
 
     def dynamics(x, u):
         return pendulum_dynamics(x, u, params)
@@ -91,11 +100,13 @@ def pendulum_ocp(params: PendulumParams = PendulumParams()) -> OcpDefinition:
         f = np.empty(x.shape)
         f[..., 0] = theta + params.dt * theta_dot
         f[..., 1] = theta_dot + params.dt * ((u[..., 0] - mgl * np.sin(shifted)) / inertia)
-        e = _seeds(3, theta.ndim)
-        theta_ddot = (e[2] - np.cos(shifted) * e[0] * mgl) / inertia
+        cos = np.cos(shifted)
+        nan_zero = 0.0 - cos * 0.0  # +0.0, or NaN where the dual pass's zero tangents are NaN
         F = np.empty((2, 3) + theta.shape)  # row, tangent, stage
-        F[0] = e[0] + e[1] * params.dt
-        F[1] = e[1] + theta_ddot * params.dt
+        F[0] = row0.reshape((3,) + (1,) * theta.ndim)
+        F[1, 0] = 0.0 + ((0.0 - cos * mgl) / inertia) * params.dt
+        F[1, 1] = 1.0 + nan_zero
+        F[1, 2] = rate_tau + nan_zero
         return f, F
 
     def running_cost(x, u):
@@ -240,27 +251,36 @@ def obstacle_value_and_gradient(p, geom: BugTrapGeometry, boxes=None):
     ``qp`` the clipped face distance: outside, ``d sd = (0.5 / r) * (t + t)``
     with ``t = s * qp``; inside, ``s`` on the axis of the larger ``q``; then
     the ramp's ``sigmoid * (-d sd / smooth_len) * smooth_len``, summed over
-    rectangles in order and times ``w_obs``. ``boxes`` is
+    rectangles in order and times ``w_obs``. The dual pass also multiplies
+    the other axis's offset by a zero tangent; that term is the NaN-carrying
+    zero plane :func:`_position_zero` added to both components, so an
+    entry is NaN exactly where the dual pass's is, at an infinite
+    coordinate or an overflowing square too. ``boxes`` is
     :func:`_box_arrays` of ``geom``, built per call when not given.
     """
     center, half = _box_arrays(geom) if boxes is None else boxes
     p = np.asarray(p, dtype=float)
     lead = p.shape[:-1]
-    d = p.reshape(-1, 2).T[:, None] - center  # (2, R, M): axis, rectangle, point
+    # (2, R, M): axis, rectangle, point; subtracted from the (possibly strided) position
+    # views straight into the buffer, with no copy of the positions first
+    d = np.empty((2, len(geom.rects)) + lead)
+    for i in range(2):
+        np.subtract(p[..., i], center[i].reshape((-1,) + (1,) * len(lead)), out=d[i])
+    d = d.reshape(2, len(geom.rects), -1)
     s = np.where(d >= 0, 1.0, -1.0)  # the sign |.| differentiates with: +1 at -0.0
     q = np.abs(d)
     q -= half  # in place: a broadcast operand makes the allocating form several times slower
     qx, qy = q
     out = (qx > 0) | (qy > 0)
-    # the dual pass's selections, a NaN winning as in ad.maximum / ad.minimum (np.maximum
-    # would also turn the -0.0 it selects into +0.0)
-    qp = np.where((q >= 0) | np.isnan(q), q, 0.0)
+    # the dual pass's selections max(q, 0) and min(m, 0), a NaN winning as in ad.maximum /
+    # ad.minimum and -0.0 kept (np.maximum would turn the -0.0 it selects into +0.0)
+    qp = np.where(q < 0, 0.0, q)
     sq = qp[0] * qp[0]
     sq += qp[1] * qp[1]
     r = np.sqrt(np.where(out, sq, 1.0))
     pick_x = (qx >= qy) | np.isnan(qx)
     m = np.where(pick_x, qx, qy)
-    sd = np.where(out, r, 0.0) + np.where((m <= 0) | np.isnan(m), m, 0.0)
+    sd = np.where(out, r, 0.0) + np.where(m > 0, 0.0, m)
     v = (geom.margin - sd) / geom.smooth_len
     ramp = np.logaddexp(0.0, v) * geom.smooth_len
 
@@ -282,22 +302,43 @@ def obstacle_value_and_gradient(p, geom: BugTrapGeometry, boxes=None):
         grad += dramp[:, i]
     total *= geom.w_obs
     grad *= geom.w_obs
-    return total.reshape(lead), grad.reshape((2,) + lead)
+    grad = grad.reshape((2,) + lead)
+    grad += _position_zero(p)  # each axis's tangent also multiplies the other axis's offset by 0
+    return total.reshape(lead), grad
+
+
+def _position_zero(p):
+    """The dual obstacle pass's tangent along a direction that moves no position, for points ``(..., 2)``.
+
+    It comes out of products of the offsets with zero tangents: ``-0.0``, or
+    NaN where a coordinate is infinite or NaN. Adding it to a number other
+    than NaN leaves the number's bytes as they are.
+    """
+    return np.copysign(0.0 * p[..., 0] + 0.0 * p[..., 1], -1.0)
 
 
 def bugtrap_ocp(geom: BugTrapGeometry = BugTrapGeometry()) -> OcpDefinition:
     """Drive out of the U and around to the goal; obstacles live in the running cost.
 
-    The stage oracles are the dual pass over the callables, run on
-    :func:`_seeds` (stage coordinates [px, py, theta, v, omega]), with the
-    obstacle term's gradient from :func:`obstacle_value_and_gradient`; the
-    dynamics oracle computes ``f`` in the same pass, with the operations of
-    :func:`unicycle_dynamics`.
+    Stage coordinates are [px, py, theta, v, omega]. Every stage oracle
+    carries the bytes of the dual pass over its callable, NaN positions
+    included. The cost oracles run that pass on :func:`_seeds`, with the
+    obstacle term from :func:`obstacle_value_and_gradient` along the two
+    position tangents and :func:`_position_zero` along the other three. The
+    dynamics oracle computes ``f`` with the operations of
+    :func:`unicycle_dynamics` and its Jacobian at its structure, one
+    ``(...)`` plane per entry: the four ``v * cos`` / ``v * sin`` tangents
+    (along theta and v) run the dual pass's operations in its order; the
+    other entries of rows 0 and 1 are their constant plus a NaN-carrying
+    zero plane, ``0.0 - sin * 0.0 * v``, which is +0.0 where theta and v
+    are finite and NaN where the dual pass gives NaN; the heading row does
+    not depend on the input and is a plain fill.
     """
     boxes = _box_arrays(geom)
     dt = geom.dt
     effort = geom.dt * 0.01
     goal = np.asarray(geom.goal)
+    row2 = np.array([0.0, 0.0, 1.0, 0.0, 0.0 + 1.0 * dt])  # the heading row, input-independent
 
     def dynamics(x, u):
         return unicycle_dynamics(x, u, dt)
@@ -309,13 +350,15 @@ def bugtrap_ocp(geom: BugTrapGeometry = BugTrapGeometry()) -> OcpDefinition:
         f[..., 0] = x[..., 0] + dt * (v * cos)
         f[..., 1] = x[..., 1] + dt * (v * sin)
         f[..., 2] = theta + dt * u[..., 1]
-        e = _seeds(5, theta.ndim)
-        vx = e[3] * cos + -sin * e[2] * v  # the tangents of v * cos(theta)
-        vy = e[3] * sin + cos * e[2] * v
+        nan_zero = 0.0 - sin * 0.0 * v  # +0.0, or NaN where the dual pass's zero tangents are NaN
         F = np.empty((3, 5) + theta.shape)  # row, tangent, stage
-        F[0] = e[0] + vx * dt
-        F[1] = e[1] + vy * dt
-        F[2] = e[2] + e[4] * dt
+        for i, (rate_v, rate_theta) in enumerate(((cos, -sin * v), (sin, cos * v))):
+            F[i, :2] = nan_zero  # the tangents of v * cos(theta), v * sin(theta)
+            F[i, i] += 1.0
+            F[i, 2] = 0.0 + (0.0 * rate_v + rate_theta) * dt
+            F[i, 3] = 0.0 + (rate_v + nan_zero) * dt
+            F[i, 4] = nan_zero
+        F[2] = row2.reshape((5,) + (1,) * theta.ndim)
         return f, F
 
     def running_cost(x, u):
@@ -323,9 +366,11 @@ def bugtrap_ocp(geom: BugTrapGeometry = BugTrapGeometry()) -> OcpDefinition:
 
     def running_cost_and_gradient(x, u):
         obs, dobs = obstacle_value_and_gradient(x[..., :2], geom, boxes)
+        zero = _position_zero(x[..., :2])
         e = _seeds(5, obs.ndim)
         du = 2.0 * u**1.0
-        g = dobs[0] * e[0] + dobs[1] * e[1] + (0.0 + du[..., 0] * e[3] + du[..., 1] * e[4]) * effort
+        # the obstacle term along the five stage tangents, each its own chain as in the dual pass
+        g = np.stack([dobs[0], dobs[1], zero, zero, zero]) + (0.0 + du[..., 0] * e[3] + du[..., 1] * e[4]) * effort
         return obs + effort * np.sum(u**2.0, axis=-1), g
 
     def terminal_cost(x):

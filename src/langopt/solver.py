@@ -385,7 +385,11 @@ def _advance(nlp, X, Lam, it, config, mu, streams, active, box):
     Xc = X - 0.5 * alpha * g
     if sigma > 0:
         idx = ok.nonzero()[0]
-        Xc[idx] += (sigma * math.sqrt(alpha)) * streams.draw(idx)
+        noise = (sigma * math.sqrt(alpha)) * streams.draw(idx)
+        if idx.size == len(ok):
+            Xc += noise  # every chain steps: the same add, without the fancy-indexed copy
+        else:
+            Xc[idx] += noise
 
     if beta > 0:
         outside = (ok & ~_interior(Xc, box)).nonzero()[0]

@@ -136,6 +136,17 @@ class TestTranscribe:
         assert np.array_equal(c, ad.value(nlp.cost(z)))
         assert np.allclose(g, ad.gradient(nlp.cost, z), rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_constant_dynamics(self, batch):
+        ocp = dataclasses.replace(scalar_ocp(K=2), dynamics=lambda x, u: np.zeros(np.shape(ad.value(x))))
+        nlp = transcribe(ocp)  # no dynamics oracle: the dual pass meets a plain array
+        rng = np.random.default_rng(2)
+        z, w = rng.standard_normal(batch + (nlp.n,)), rng.standard_normal(batch + (nlp.m,))
+        h, vjp = nlp.constraints_with_vjp(z)
+        assert np.array_equal(h, ad.value(nlp.constraints(z)))
+        J = ad.jacobian(nlp.constraints, z)
+        assert np.array_equal(vjp(w), np.einsum("...ij,...i->...j", J, w))
+
     def test_running_cost_of_wrong_shape_rejected(self):
         ocp = dataclasses.replace(scalar_ocp(K=2), running_cost=lambda x, u: x * u)  # (K, 1)
         nlp = transcribe(ocp)
@@ -367,38 +378,47 @@ class TestStageOracles:
             assert same_or_both_nan(f, ref)
 
     def test_stage_oracles_equal_the_dual_pass_at_non_finite_inputs(self, problem):
+        # the benchmark's stage shapes too, with +-1e308 so that products overflow and +-5e-324
+        # so that they underflow to a signed zero
         ocp = get_problem(problem).ocp
         rng = np.random.default_rng(5)
-        values = np.array([0.0, -0.0, 1.5, -2.0, np.pi / 2, np.nan, np.inf, -np.inf])
-        x = np.where(rng.random((40, ocp.nx)) < 0.5, rng.choice(values, (40, ocp.nx)), rng.uniform(-3, 3, (40, ocp.nx)))
-        u = np.where(rng.random((40, ocp.nu)) < 0.5, rng.choice(values, (40, ocp.nu)), rng.uniform(-3, 3, (40, ocp.nu)))
+        values = np.array([0.0, -0.0, 1.5, -2.0, np.pi / 2, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324])
         d = ocp.nx + ocp.nu
-        seeds = [np.zeros((d,) + a.shape) for a in (x, u)]
-        for j in range(d):
-            (seeds[0][j, :, j] if j < ocp.nx else seeds[1][j, :, j - ocp.nx]).fill(1.0)
-        xd, ud = ad.Dual(x, seeds[0]), ad.Dual(u, seeds[1])
-        with np.errstate(invalid="ignore", over="ignore"):
-            f = ocp.dynamics(xd, ud)
-            l = ocp.running_cost(xd, ud)
-            phi = ocp.terminal_cost(ad.seed(x))
-            pairs = [
-                (ocp.dynamics_and_jacobian(x, u), (f.val, np.moveaxis(f.eps, -1, 0))),  # (nx, d, 40)
-                (ocp.running_cost_and_gradient(x, u), (l.val, l.eps)),
-                (ocp.terminal_cost_and_gradient(x), (phi.val, phi.eps)),
-            ]
-        for got, ref in pairs:
-            for a, b in zip(got, ref):
-                assert same_or_both_nan(a, b)
+        for lead in [(40,), (64, 50), (10, 60)]:
+            x, u = (
+                np.where(rng.random(lead + (k,)) < 0.5, rng.choice(values, lead + (k,)), rng.uniform(-3, 3, lead + (k,)))
+                for k in (ocp.nx, ocp.nu)
+            )
+            seeds = [np.zeros((d,) + a.shape) for a in (x, u)]
+            for j in range(d):
+                (seeds[0][j, ..., j] if j < ocp.nx else seeds[1][j, ..., j - ocp.nx]).fill(1.0)
+            xd, ud = ad.Dual(x, seeds[0]), ad.Dual(u, seeds[1])
+            with np.errstate(invalid="ignore", over="ignore"):
+                f = ocp.dynamics(xd, ud)
+                l = ocp.running_cost(xd, ud)
+                phi = ocp.terminal_cost(ad.seed(x))
+                pairs = [
+                    (ocp.dynamics_and_jacobian(x, u), (f.val, np.moveaxis(f.eps, -1, 0))),  # (nx, d) + lead
+                    (ocp.running_cost_and_gradient(x, u), (l.val, l.eps)),
+                    (ocp.terminal_cost_and_gradient(x), (phi.val, phi.eps)),
+                ]
+            for got, ref in pairs:
+                for a, b in zip(got, ref):
+                    assert same_or_both_nan(a, b)
 
-    def short_schedule(self, bundle):
-        return [dataclasses.replace(p, iterations=60, hold=min(p.hold, 20), snapshot_stride=7) for p in bundle.phases]
+    def short_schedule(self, bundle, iterations=60):
+        return [
+            dataclasses.replace(p, iterations=iterations, hold=min(p.hold, iterations // 3), snapshot_stride=7)
+            for p in bundle.phases
+        ]
 
     def test_two_phase_batch_bytes(self, problem):
+        # at the benchmark's batch sizes: 64 pendulum chains, 10 bug-trap chains
         bundle = get_problem(problem)
         dual = transcribe(dual_fallback(bundle.ocp))
         rng = np.random.default_rng(9)
-        x0s = [bundle.guess(rng) for _ in range(4)]
-        phases = self.short_schedule(bundle)
+        x0s = [bundle.guess(rng) for _ in range({"pendulum": 64, "bugtrap": 10}[problem])]
+        phases = self.short_schedule(bundle, iterations=30)
         for a, b in zip(solve_batch(bundle.nlp, x0s, phases), solve_batch(dual, x0s, phases)):
             assert a.success and b.success
             for name in ("cost", "hsq", "energy", "sigma", "snapshot_iters", "snapshots"):

@@ -258,6 +258,22 @@ class TestObstacleNaN:
         assert np.isnan(plain) and np.isnan(dual.val) and np.isnan(value)
         assert np.all(np.isnan(dual.eps)) and np.all(np.isnan(grad))
 
+    @pytest.mark.parametrize("lead", [(64, 50), (10, 60)])
+    def test_closed_form_at_non_finite_and_overflowing_points(self, lead):
+        # the benchmark's stage shapes, with +-1e308 so that squares and doublings overflow
+        rng = np.random.default_rng(12)
+        values = np.array([0.0, -0.0, 1.2, -1.0, np.nan, np.inf, -np.inf, 1e308, -1e308])
+        p = np.where(rng.random(lead + (2,)) < 0.5, rng.choice(values, lead + (2,)), rng.uniform(-2, 2, lead + (2,)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            value, grad = obstacle_value_and_gradient(p, self.geom)
+            ref = obstacle_penalty(ad.seed(p), self.geom)
+        for got, want in ((value, ref.val), (grad, ref.eps)):
+            nan = np.isnan(want)
+            assert got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(got[~nan], want[~nan])
+            nonzero = ~nan & (want != 0.0)
+            assert same_bits(got[nonzero], want[nonzero])
+
     def test_bugtrap_cost_of_a_nan_position(self):
         bundle = get_problem("bugtrap")
         layout = Layout(bundle.ocp.K, bundle.ocp.nx, bundle.ocp.nu)
