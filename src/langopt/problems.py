@@ -8,6 +8,7 @@ dual-number arrays used for differentiation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -57,6 +58,7 @@ def pendulum_dynamics(x, u, params: PendulumParams = PendulumParams()):
     return x + params.dt * ad.stack([theta_dot, theta_ddot], axis=-1)
 
 
+@lru_cache(maxsize=None)
 def _seeds(d, ndim):
     """Identity seed tangents of ``d`` stage coordinates, as ``(d, d) + (1,) * ndim``.
 
@@ -65,9 +67,12 @@ def _seeds(d, ndim):
     dual pass's tangent arithmetic on it in place of a ``Dual``, in the same
     order, so they carry its bytes, a non-finite input's NaN included. Their
     gradients come out tangent-major, ``(d,) + lead``, the layout
-    :class:`~langopt.nlp.OcpDefinition` asks for.
+    :class:`~langopt.nlp.OcpDefinition` asks for. Built once per
+    ``(d, ndim)`` and shared, so the array is read-only.
     """
-    return np.eye(d).reshape((d, d) + (1,) * ndim)
+    e = np.eye(d).reshape((d, d) + (1,) * ndim)
+    e.flags.writeable = False
+    return e
 
 
 def pendulum_ocp(params: PendulumParams = PendulumParams()) -> OcpDefinition:

@@ -209,12 +209,16 @@ def _decay_rate(config: SolverConfig) -> float:
     return 1.0
 
 
+def _sigma(it, config, rate):
+    """The noise level at iteration ``it >= 0`` of ``config``, whose decay rate is ``rate``."""
+    return max(config.sigma0 * rate ** max(0, it - config.hold), config.sigma_min)
+
+
 def noise_schedule(it: int, config: SolverConfig) -> float:
     """Plateau at sigma0 for ``hold`` iterations, then geometric decay to a floor."""
     if it < 0:
         raise ValueError("iteration index must be non-negative")
-    it = max(0, it - config.hold)
-    return max(config.sigma0 * _decay_rate(config) ** it, config.sigma_min)
+    return _sigma(it, config, _decay_rate(config))
 
 
 def barrier_gradient(x, lower, upper):
@@ -321,15 +325,38 @@ class _Streams:
     generator. A ``(R, n)`` fill gives the values of R calls of
     ``standard_normal(n)``, so chain j's k-th row has the bytes of its
     generator's k-th ``standard_normal(n)``, whatever the other chains read.
+
+    While every chain has read the same number of rows, one cursor serves
+    them all, and an all-chain read is the basic slice ``blocks[:, p]``. The
+    first read of a subset copies that cursor into per-chain cursors, which
+    every read uses from then on.
     """
 
     def __init__(self, rngs, n):
         self._rngs = list(rngs)
         self._blocks = np.empty((len(self._rngs), _BLOCK_ROWS, n))
-        self._pos = np.full(len(self._rngs), _BLOCK_ROWS)
+        self._common = _BLOCK_ROWS  # every chain's cursor while they agree
+        self._pos = None  # per-chain cursors, once a subset has read
 
     def draw(self, chains):
-        """The next row of each chain in the index array ``chains``, in order, as a ``(len(chains), n)`` array."""
+        """The next row of each chain in the index array ``chains``, in order, as a ``(len(chains), n)`` array.
+
+        ``chains=None`` reads every chain, in chain order. While the cursors
+        agree, that read returns a view of the blocks, valid until the next
+        read.
+        """
+        if self._pos is None:
+            if chains is None:
+                p = self._common
+                if p == _BLOCK_ROWS:
+                    for rng, block in zip(self._rngs, self._blocks):
+                        rng.standard_normal(out=block)
+                    p = 0
+                self._common = p + 1
+                return self._blocks[:, p]
+            self._pos = np.full(len(self._rngs), self._common)
+        if chains is None:
+            chains = np.arange(len(self._rngs))
         pos = self._pos[chains]
         spent = pos == _BLOCK_ROWS
         if spent.any():
@@ -340,17 +367,40 @@ class _Streams:
         return self._blocks[chains, pos]
 
 
-def _advance(nlp, X, Lam, it, config, mu, streams, active, box):
-    """One Euler-Maruyama step for a stack of chains.
+class _Phase:
+    """The kernel's constants for one phase of ``config``, prepared once.
 
-    ``mu`` is the chains' penalty as an ``(N, 1)`` column, which gives each
-    chain the IEEE products of its scalar; every other parameter is ``config``'s.
-    ``streams`` is the chains' :class:`_Streams` and ``box`` the problem's
-    :class:`_Box`.
+    ``sigma[i]`` is iteration i's noise level, with the bytes of
+    ``noise_schedule(i, config)``; ``mu`` is the chains' penalty as an
+    ``(N, 1)`` column, which gives each chain the IEEE products of its
+    scalar, and ``alpha_mu`` is ``alpha * mu``.
+    """
 
-    Returns (X', Lam', diag, failures) where diag holds pre-step diagnostics
-    and failures maps chain index -> error message for chains that died this
-    iteration. Inactive chains are left untouched and draw no noise.
+    def __init__(self, config, mu):
+        rate = _decay_rate(config)
+        self.sigma = [_sigma(i, config, rate) for i in range(config.iterations)]
+        self.alpha = config.alpha
+        self.half_alpha = 0.5 * config.alpha
+        self.sqrt_alpha = math.sqrt(config.alpha)
+        self.beta = config.barrier_weight
+        self.mu = mu
+        self.alpha_mu = config.alpha * mu
+
+
+def _advance(nlp, X, Lam, it, phase, streams, active, box):
+    """One Euler-Maruyama step for a stack of chains, at iteration ``it`` of ``phase``.
+
+    ``phase`` is the phase's :class:`_Phase`, whose constants (each
+    iteration's sigma, ``alpha / 2``, ``alpha * mu``) were prepared once when
+    the phase started; ``streams`` is the chains' :class:`_Streams` and
+    ``box`` the problem's :class:`_Box`.
+
+    Returns (X', Lam', diag, failures) where diag holds the pre-step cost,
+    ``hsq`` and energy, and failures maps chain index -> error message for
+    chains that died this iteration. Inactive chains are left untouched and
+    draw no noise. One finiteness test of the whole drift decides the common
+    case; per-chain masks are formed only when it fails. While every chain
+    steps, the noise is one all-chain read, added in place.
 
     A step that leaves the finite bounds is retried at half the time step,
     up to ``_MAX_RETRIES`` halvings. The retries run one halving level at a
@@ -363,55 +413,53 @@ def _advance(nlp, X, Lam, it, config, mu, streams, active, box):
     cover ``box``'s span only; every other coordinate gets the barrier's
     exact ``+ 0.0``.
     """
-    alpha = config.alpha
-    beta = config.barrier_weight
-    sigma = noise_schedule(it, config)
-
-    c, h, v, g = _drift(nlp, X, Lam, mu, beta, box)
+    sigma = phase.sigma[it]
+    c, h, v, g = _drift(nlp, X, Lam, phase.mu, phase.beta, box)
     hsq = (h * h).sum(axis=-1)
-    diag = {
-        "cost": c,
-        "hsq": hsq,
-        "energy": 0.5 * (v * v).sum(axis=-1) + 0.5 * hsq,
-        "sigma": sigma,
-    }
+    diag = {"cost": c, "hsq": hsq, "energy": 0.5 * (v * v).sum(axis=-1) + 0.5 * hsq}
 
     failures = {}
-    bad = active & ~np.isfinite(g).all(axis=-1)
-    for j in bad.nonzero()[0]:
-        failures[int(j)] = f"non-finite drift at iteration {it}"
-    ok = active & ~bad
+    ok = active
+    if not np.isfinite(g).all():
+        bad = active & ~np.isfinite(g).all(axis=-1)
+        for j in bad.nonzero()[0]:
+            failures[int(j)] = f"non-finite drift at iteration {it}"
+        ok = active & ~bad
+    every = ok.all()
 
-    Xc = X - 0.5 * alpha * g
+    Xc = X - phase.half_alpha * g
     if sigma > 0:
-        idx = ok.nonzero()[0]
-        noise = (sigma * math.sqrt(alpha)) * streams.draw(idx)
-        if idx.size == len(ok):
-            Xc += noise  # every chain steps: the same add, without the fancy-indexed copy
+        scale = sigma * phase.sqrt_alpha
+        if every:
+            Xc += scale * streams.draw(None)
         else:
-            Xc[idx] += noise
+            idx = ok.nonzero()[0]
+            Xc[idx] += scale * streams.draw(idx)
 
-    if beta > 0:
+    if phase.beta > 0:
         outside = (ok & ~_interior(Xc, box)).nonzero()[0]
         for r in range(1, _MAX_RETRIES + 1):
             if not outside.size:
                 break
             scale = 0.5**r
-            cand = X[outside] - 0.5 * alpha * scale * g[outside]
+            cand = X[outside] - phase.half_alpha * scale * g[outside]
             if sigma > 0:
-                cand = cand + sigma * math.sqrt(alpha * scale) * streams.draw(outside)
+                cand = cand + sigma * math.sqrt(phase.alpha * scale) * streams.draw(outside)
             inside = _interior(cand, box)
             Xc[outside[inside]] = cand[inside]
             outside = outside[~inside]
-        for j in outside:
-            failures[int(j)] = (
-                f"barrier-domain violation persisted through {_MAX_RETRIES} "
-                f"halved retries at iteration {it}"
-            )
-            ok[j] = False
+        if outside.size:
+            for j in outside:
+                failures[int(j)] = (
+                    f"barrier-domain violation persisted through {_MAX_RETRIES} "
+                    f"halved retries at iteration {it}"
+                )
+            ok = ok.copy()
+            ok[outside] = False
+            every = False
 
-    Lamn = Lam + (alpha * mu) * h
-    if ok.all():
+    Lamn = Lam + phase.alpha_mu * h
+    if every:
         return Xc, Lamn, diag, failures
     return np.where(ok[:, None], Xc, X), np.where(ok[:, None], Lamn, Lam), diag, failures
 
@@ -471,7 +519,8 @@ def _run_chains(nlp, box, X0, Lam0, scheds, seeds):
     active = np.ones(N, dtype=bool)
     failed = {}  # chain -> (iterations recorded, message, phase it failed in)
 
-    tr = {k: np.zeros((T, N)) for k in ("cost", "hsq", "energy", "sigma")}
+    tr = {k: np.zeros((T, N)) for k in ("cost", "hsq", "energy")}
+    sigma = np.zeros(T)
     snap_iters = np.concatenate(
         [s + np.arange(0, p.iterations, p.snapshot_stride) for s, p in zip(starts, phases)]
     )
@@ -480,22 +529,24 @@ def _run_chains(nlp, box, X0, Lam0, scheds, seeds):
 
     for k, (start, config) in enumerate(zip(starts, phases)):
         streams = _Streams([np.random.default_rng(int(seed)) for seed in seeds[:, k]], n)
-        mu = np.array([[sched[k].mu] for sched in scheds], dtype=float)
+        phase = _Phase(config, np.array([[sched[k].mu] for sched in scheds], dtype=float))
+        sigma[start : start + config.iterations] = phase.sigma
         for i in range(config.iterations):
             if i % config.snapshot_stride == 0:
                 snaps[snapped] = X
                 snapped += 1
-            Xn, Lamn, diag, failures = _advance(nlp, X, Lam, i, config, mu, streams, active, box)
+            Xn, Lamn, diag, failures = _advance(nlp, X, Lam, i, phase, streams, active, box)
             t = start + i
             for key in tr:
                 tr[key][t] = diag[key]
-            for j, msg in failures.items():
-                # keep the (valid) pre-step record of the failing iteration
-                failed[j] = (t + 1, msg if len(phases) == 1 else f"phase {k}: {msg}", scheds[j][k])
-                active[j] = False
             X, Lam = Xn, Lamn
-            if not active.any():
-                break
+            if failures:
+                for j, msg in failures.items():
+                    # keep the (valid) pre-step record of the failing iteration
+                    failed[j] = (t + 1, msg if len(phases) == 1 else f"phase {k}: {msg}", scheds[j][k])
+                    active[j] = False
+                if not active.any():
+                    break
         if not active.any():
             break
 
@@ -508,7 +559,7 @@ def _run_chains(nlp, box, X0, Lam0, scheds, seeds):
             cost=tr["cost"][:T_j, j].copy(),
             hsq=tr["hsq"][:T_j, j].copy(),
             energy=tr["energy"][:T_j, j].copy(),
-            sigma=tr["sigma"][:T_j, j].copy(),
+            sigma=sigma[:T_j].copy(),
             snapshot_iters=snap_iters[s_mask],
             snapshots=snaps[s_mask, j],
         )

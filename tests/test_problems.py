@@ -6,6 +6,7 @@ from langopt import Layout, join, split
 from langopt.autodiff import check_gradient
 from langopt.problems import (
     BugTrapGeometry,
+    _seeds,
     PendulumParams,
     Rect,
     bugtrap_ocp,
@@ -312,3 +313,28 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             get_problem("nosuch")
+
+
+class TestSeedCache:
+    def test_cached_seeds_are_read_only(self):
+        e = _seeds(3, 2)
+        assert _seeds(3, 2) is e
+        assert e.shape == (3, 3, 1, 1) and e[1, 1, 0, 0] == 1.0 and e[0, 1, 0, 0] == 0.0
+        with pytest.raises(ValueError):
+            e[0, 1] = 1.0
+
+    @pytest.mark.parametrize("make_ocp", [pendulum_ocp, bugtrap_ocp])
+    def test_oracles_return_their_own_gradients(self, make_ocp):
+        # a caller that writes into a returned gradient changes no later call
+        ocp = make_ocp()
+        rng = np.random.default_rng(5)
+        x, u = rng.standard_normal((4, 6, ocp.nx)), rng.standard_normal((4, 6, ocp.nu))
+        for oracle, args in (
+            (ocp.running_cost_and_gradient, (x, u)),
+            (ocp.terminal_cost_and_gradient, (x[:, 0],)),
+        ):
+            _, g = oracle(*args)
+            before = g.tobytes()
+            g[...] = 7.0
+            assert oracle(*args)[1].tobytes() == before
+

@@ -28,7 +28,7 @@ from langopt import (
 from langopt import autodiff as ad
 from langopt.nlp import NlpProblem, OcpDefinition, transcribe
 from langopt.problems import get_problem, pendulum_ocp, toy_kkt_problem
-from langopt.solver import _BLOCK_ROWS, _MAX_RETRIES, _Box, _Streams, _advance
+from langopt.solver import _BLOCK_ROWS, _MAX_RETRIES, _Box, _Phase, _Streams, _advance
 
 
 def boxed_toy(lo=-10.0, hi=10.0):
@@ -188,6 +188,22 @@ class TestNoiseSchedule:
             noise_schedule(-1, SolverConfig())
 
 
+def test_sigma_column_has_the_schedule_bytes():
+    # a hold, a decay to the floor, then a second phase with its own derived rate,
+    # each phase numbered from 0 as the kernel numbers it
+    phases = (
+        SolverConfig(sigma0=0.5, hold=7, gamma=0.8, sigma_min=0.05, iterations=40, seed=1),
+        SolverConfig(sigma0=0.3, sigma_min=0.01, iterations=30, seed=2),
+    )
+    expected = [noise_schedule(i, p) for p in phases for i in range(p.iterations)]
+    assert expected[:8] == [0.5] * 8 and expected[39] == 0.05 and expected[38] == 0.05
+    assert 0.01 < expected[40 + 23] < expected[40 + 22]
+    sols = solve_batch(toy_kkt_problem(), [np.zeros(2), np.ones(2)], phases)
+    for sol in sols:
+        assert sol.success
+        assert sol.trace.sigma.tobytes() == np.array(expected).tobytes()
+
+
 class TestDriftAndEnergy:
     def test_toy_drift_at_origin(self):
         # grad c = 0, h = -1, so drift = J^T(lam + mu h) = (1,1)*(0 - 10) ... scaled
@@ -244,7 +260,7 @@ def test_diagnostics_are_the_kernel_math(problem):
     cfg = SolverConfig(sigma0=0.0, sigma_min=0.0, iterations=1)
     mu = np.full((3, 1), cfg.mu)
     box = _Box(nlp.lower, nlp.upper)
-    Xn, _, diag, failures = _advance(nlp, X, Lam, 0, cfg, mu, None, np.ones(3, dtype=bool), box)
+    Xn, _, diag, failures = _advance(nlp, X, Lam, 0, _Phase(cfg, mu), None, np.ones(3, dtype=bool), box)
     assert not failures
     d = drift(nlp, X, Lam, cfg.mu, cfg.barrier_weight)
     assert (X - 0.5 * cfg.alpha * d).tobytes() == Xn.tobytes()
@@ -278,7 +294,7 @@ def one_step(nlp, x, lam, cfg, rng):
     mu = np.full((1, 1), cfg.mu)
     streams = _Streams([rng], nlp.n)
     box = _Box(nlp.lower, nlp.upper)
-    Xn, Lamn, _, failures = _advance(nlp, X, Lam, 0, cfg, mu, streams, np.ones(1, dtype=bool), box)
+    Xn, Lamn, _, failures = _advance(nlp, X, Lam, 0, _Phase(cfg, mu), streams, np.ones(1, dtype=bool), box)
     assert not failures
     return Xn[0], Lamn[0]
 
@@ -414,7 +430,7 @@ class CountingStreams(_Streams):
         self.reads = np.zeros(len(rngs), dtype=int)
 
     def draw(self, chains):
-        self.reads[chains] += 1
+        self.reads[slice(None) if chains is None else chains] += 1
         return super().draw(chains)
 
 
@@ -440,6 +456,29 @@ class TestStreams:
                 reads[chains] += 1
         assert refilled_on_retry and reads[0] != reads[1]
         assert rng_states(rngs[2:]) == rng_states(refs[2:])
+
+    def test_aligned_reads_hand_off_to_per_chain_cursors(self):
+        # every chain reads together for more than two blocks, then a permuted read of all
+        # three hands off to per-chain cursors, chain 1 reads alone across its block edge,
+        # and every chain reads together again
+        n, seeds = 5, [21, 22, 23]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        refs = [np.random.default_rng(s) for s in seeds]
+        streams = _Streams(rngs, n)
+
+        def read(chains, order):
+            rows = streams.draw(chains)
+            assert rows.shape == (len(order), n)
+            for row, j in zip(rows, order):
+                assert row.tobytes() == refs[j].standard_normal(n).tobytes()
+
+        for _ in range(2 * _BLOCK_ROWS + 3):
+            read(None, [0, 1, 2])
+        read(np.array([2, 0, 1]), [2, 0, 1])
+        for _ in range(_BLOCK_ROWS):
+            read(np.array([1]), [1])
+        for _ in range(_BLOCK_ROWS + 2):
+            read(None, [0, 1, 2])
 
 
 class TestAdvance:
@@ -475,7 +514,7 @@ class TestAdvance:
         all_failures = {}
         for it in range(5):
             Xr, Lamr, fr, draws = reference_advance(nlp, X, Lam, it, cfg, ref_rngs, active.copy())
-            Xn, Lamn, _, failures = _advance(nlp, X, Lam, it, cfg, mu, streams, active.copy(), box)
+            Xn, Lamn, _, failures = _advance(nlp, X, Lam, it, _Phase(cfg, mu), streams, active.copy(), box)
             assert Xn.tobytes() == Xr.tobytes()
             assert Lamn.tobytes() == Lamr.tobytes()
             assert failures == fr
@@ -508,7 +547,7 @@ class TestAdvance:
         mu = np.full((N, 1), cfg.mu)
         streams = _Streams(rngs, n)
         Xn, Lamn, _, failures = _advance(
-            nlp, X, Lam, 0, cfg, mu, streams, active.copy(), _Box(nlp.lower, nlp.upper)
+            nlp, X, Lam, 0, _Phase(cfg, mu), streams, active.copy(), _Box(nlp.lower, nlp.upper)
         )
         assert draws[1] > 1 and 1 not in fr
         assert Xn.tobytes() == Xr.tobytes()
@@ -575,7 +614,7 @@ class TestGappedBounds:
         retried = np.zeros(N, dtype=bool)
         for it in range(6):
             Xr, Lamr, fr, draws = reference_advance(nlp, X, Lam, it, cfg, ref_rngs, active.copy())
-            Xn, Lamn, _, failures = _advance(nlp, X, Lam, it, cfg, mu, streams, active.copy(), box)
+            Xn, Lamn, _, failures = _advance(nlp, X, Lam, it, _Phase(cfg, mu), streams, active.copy(), box)
             assert Xn.tobytes() == Xr.tobytes()
             assert Lamn.tobytes() == Lamr.tobytes()
             assert failures == fr
@@ -594,7 +633,7 @@ class TestGappedBounds:
         active, mu, box = np.ones(1, dtype=bool), np.full((1, 1), cfg.mu), _Box(nlp.lower, nlp.upper)
         with np.errstate(over="ignore"):  # the cost overflows too; the kernel does not step on it
             Xr, _, fr, draws = reference_advance(nlp, X, Lam, 0, cfg, [np.random.default_rng(0)], active)
-            Xn, _, _, failures = _advance(nlp, X, Lam, 0, cfg, mu, None, active, box)
+            Xn, _, _, failures = _advance(nlp, X, Lam, 0, _Phase(cfg, mu), None, active, box)
         assert draws[0] > 1 and not fr and not failures
         assert Xn.tobytes() == Xr.tobytes() and np.all(np.isfinite(Xn))
 
@@ -607,7 +646,7 @@ class TestGappedBounds:
         cfg = SolverConfig(sigma0=0.0, sigma_min=0.0, iterations=1)
         mu = np.full((2, 1), cfg.mu)
         box = _Box(nlp.lower, nlp.upper)
-        Xn = _advance(nlp, X, Lam, 0, cfg, mu, None, np.ones(2, dtype=bool), box)[0]
+        Xn = _advance(nlp, X, Lam, 0, _Phase(cfg, mu), None, np.ones(2, dtype=bool), box)[0]
         h, vjp = nlp.constraints_with_vjp(X)
         _, cg = nlp.cost_and_gradient(X)
         v = cg + vjp(Lam + cfg.mu * h)
