@@ -27,7 +27,7 @@ import numpy as np
 
 from .baselines import _noise_free, bfgs_penalty
 from .problems import PROBLEMS, get_problem
-from .solver import SolverConfig, _check_int, _reprs, solve_batch
+from .solver import SolverConfig, _check_int, solve_batch
 
 SOLVERS = ("diffusion", "gd", "bfgs")
 
@@ -219,7 +219,7 @@ def cmd_sweep(args) -> int:
     with open(out / "sweep.csv", "w") as f:
         f.write("mu,iter,hsq\n")
         for mu, sol in zip(mus, sols):
-            rows = zip(_reprs(sol.trace.iters, int), _reprs(sol.trace.hsq))
+            rows = zip(sol.trace._strings("iters"), sol.trace._strings("hsq"))  # a batch's iters: formatted once
             f.writelines(f"{mu!r},{it},{hsq}\n" for it, hsq in rows)
     with open(out / "summary.json", "w") as f:
         json.dump(

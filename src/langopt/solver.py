@@ -17,6 +17,7 @@ large batch solves tractable without native code.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from contextlib import contextmanager
@@ -130,9 +131,58 @@ def _reprs(column, type_=float):
     return map(repr, np.asarray(column).astype(type_).tolist())
 
 
+# the type each Trace column is written as; the rest are floats
+_COLUMN_TYPES = {"iters": int}
+
+# Trace rows joined per write: a write per row takes about twice as long, and
+# one write per trace holds the whole file as strings at once
+_WRITE_ROWS = 256
+
+
+class _BatchColumns:
+    """The iteration and σ columns every chain of one batch shares, formatted once.
+
+    Holds one read-only ``(T,)`` array per column; a chain's trace holds
+    prefix views of them. Each column's reprs are made on its first write
+    and live as long as this object, that is, as long as a trace of the
+    batch does. They are kept as one newline-joined string per column, which
+    a write splits: kept as T separate strings they raised the peak memory
+    of repeated batches by fragmenting the small-object heap.
+    """
+
+    def __init__(self, iters, sigma):
+        self.arrays = {"iters": iters, "sigma": sigma}
+        for a in self.arrays.values():
+            a.flags.writeable = False
+        self._strings = {}
+
+    def strings(self, name, column):
+        """The reprs of ``column``, or None unless it is a prefix view of the shared ``name`` array."""
+        shared = self.arrays.get(name)
+        if not (
+            shared is not None
+            and isinstance(column, np.ndarray)
+            and column.base is shared
+            and column.dtype == shared.dtype
+            and column.strides == shared.strides
+            and column.ctypes.data == shared.ctypes.data
+        ):
+            return None
+        if name not in self._strings:
+            self._strings[name] = "\n".join(_reprs(shared, _COLUMN_TYPES.get(name, float)))
+        return self._strings[name].split("\n", len(column))[: len(column)]
+
+
 @dataclass
 class Trace:
-    """Per-iteration diagnostics recorded at the pre-step point."""
+    """Per-iteration diagnostics recorded at the pre-step point.
+
+    The traces of one batch share one read-only iteration column and one
+    read-only σ column: ``iters`` and ``sigma`` are prefix views of the
+    batch's arrays, and writing into them raises. Each is formatted once per
+    batch, however many of its traces are written. A trace built any other
+    way, or whose column was reassigned, formats its own.
+    """
 
     iters: np.ndarray
     cost: np.ndarray
@@ -142,16 +192,29 @@ class Trace:
     snapshot_iters: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     snapshots: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
+    _columns = None  # the batch's _BatchColumns; not a field, so a replaced copy formats its own
+
     def __len__(self):
         return len(self.iters)
+
+    def __getstate__(self):
+        # a pickled copy holds its own columns, not the batch's formatted strings
+        return {k: v for k, v in self.__dict__.items() if k != "_columns"}
+
+    def _strings(self, name):
+        """The reprs of column ``name``, read from the batch's when it shares them."""
+        column = getattr(self, name)
+        shared = None if self._columns is None else self._columns.strings(name, column)
+        return _reprs(column, _COLUMN_TYPES.get(name, float)) if shared is None else shared
 
     def to_csv(self, path_or_file) -> None:
         """Write the trace with header ``iter,cost,hsq,energy,sigma``."""
         with _writable(path_or_file) as f:
             f.write("iter,cost,hsq,energy,sigma\n")
-            cols = [_reprs(self.iters, int)]
-            cols += [_reprs(c) for c in (self.cost, self.hsq, self.energy, self.sigma)]
-            f.writelines(",".join(row) + "\n" for row in zip(*cols))
+            cols = [self._strings(k) for k in ("iters", "cost", "hsq", "energy", "sigma")]
+            rows = map(",".join, zip(*cols))
+            while chunk := list(itertools.islice(rows, _WRITE_ROWS)):
+                f.write("\n".join(chunk) + "\n")
 
     def snapshots_to_csv(self, path_or_file) -> None:
         with _writable(path_or_file) as f:
@@ -509,6 +572,11 @@ def _run_chains(nlp, box, X0, Lam0, scheds, seeds):
     Iterations are numbered continuously across phases, and snapshots follow
     each phase's own stride from the phase's first iteration. A chain that
     fails is not run in later phases; its trace ends at the failure.
+
+    Every chain runs ``scheds[0]``'s phases, so the iteration and σ columns
+    are the same for all: each trace's ``iters`` and ``sigma`` are read-only
+    prefix views of one :class:`_BatchColumns`, which formats each column
+    once however many traces are written. Writing into them raises.
     """
     N, n = X0.shape
     phases = scheds[0]
@@ -550,19 +618,22 @@ def _run_chains(nlp, box, X0, Lam0, scheds, seeds):
         if not active.any():
             break
 
+    columns = _BatchColumns(np.arange(T), sigma)
+    iters, sigma = columns.arrays["iters"], columns.arrays["sigma"]
     results = []
     for j in range(N):
         T_j, err, ended = failed.get(j, (T, None, scheds[j][-1]))
         s_mask = snap_iters < T_j
         trace = Trace(
-            iters=np.arange(T_j),
+            iters=iters[:T_j],
             cost=tr["cost"][:T_j, j].copy(),
             hsq=tr["hsq"][:T_j, j].copy(),
             energy=tr["energy"][:T_j, j].copy(),
-            sigma=sigma[:T_j].copy(),
+            sigma=sigma[:T_j],
             snapshot_iters=snap_iters[s_mask],
             snapshots=snaps[s_mask, j],
         )
+        trace._columns = columns
         results.append((X[j], Lam[j], trace, err, ended))
     return results
 
@@ -617,7 +688,10 @@ def solve_batch(
     (default: zeros).
     """
     _check_int("threads", threads, 1)
-    X0 = np.stack([np.asarray(x, dtype=float) for x in x0s])
+    x0s = [np.asarray(x, dtype=float) for x in x0s]
+    if not x0s:
+        raise ValueError("x0s is empty: a batch needs at least one initial point")
+    X0 = np.stack(x0s)
     N = X0.shape[0]
     if X0.shape != (N, nlp.n):
         raise ValueError(f"x0s has shape {X0.shape}, expected ({N}, {nlp.n})")
@@ -627,6 +701,8 @@ def solve_batch(
         inside = _interior(X0, box)
         if not inside.all():
             j = int(np.nonzero(~inside)[0][0])
+            if not np.isfinite(X0[j]).all():
+                raise BarrierDomainError(f"x0s[{j}] has a non-finite entry")
             raise BarrierDomainError(f"x0s[{j}] is not strictly interior to finite bounds")
     if lambda0s is None:
         Lam0 = np.zeros((N, nlp.m))

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import langopt
 from langopt import SolverConfig, solve_batch
 from langopt.cli import main
+from langopt.problems import get_problem
 
 FAST = ["--iters", "50", "--stride", "25"]
 
@@ -309,6 +311,39 @@ class TestSweep:
                 ref += f"{mu!r},{int(it)},{float(hsq)!r}\n"
         assert (out / "sweep.csv").read_text() == ref
         assert "inf" in ref or "nan" in ref
+
+    def test_two_phase_sweep_with_an_early_failure_bytes_of_the_row_by_row_writer(self, tmp_path, monkeypatch, capsys):
+        # the chains share one iteration column; the failed chain's is a prefix of it
+        toy = get_problem("toy_kkt")
+        oracle, calls = toy.nlp.cost_and_gradient, []
+
+        def poisoned(X):  # one call per iteration over the whole stack
+            c, g = oracle(X)
+            if len(calls) == 12:
+                g = g.copy()
+                g[1] = np.nan
+            calls.append(None)
+            return c, g
+
+        bundle = dataclasses.replace(
+            toy,
+            nlp=dataclasses.replace(toy.nlp, cost_and_gradient=poisoned),
+            phases=(SolverConfig(hold=5, sigma0=0.5), SolverConfig(sigma0=0.2, seed=9)),
+        )
+        monkeypatch.setattr(langopt.cli, "get_problem", lambda name: bundle)
+        runs = []
+        run_solver = langopt.cli._run_solver
+        monkeypatch.setattr(langopt.cli, "_run_solver", lambda *a: runs.append(run_solver(*a)) or runs[-1])
+        out = tmp_path / "sw"
+        assert main(["sweep", "--problem", "toy_kkt", "--out", str(out), "--mus", "0.1,2.5,10", "--iters", "30"]) == 2
+        assert "some chains failed" in capsys.readouterr().err
+        sols = runs[0][1]
+        assert [(s.success, len(s.trace)) for s in sols] == [(True, 60), (False, 13), (True, 60)]
+        ref = "mu,iter,hsq\n"
+        for mu, sol in zip([0.1, 2.5, 10.0], sols):
+            for i in range(len(sol.trace)):
+                ref += f"{mu!r},{int(sol.trace.iters[i])},{float(sol.trace.hsq[i])!r}\n"
+        assert (out / "sweep.csv").read_text() == ref
 
     def test_sweep_negative_seed(self, tmp_path, capsys):
         args = ["sweep", "--problem", "toy_kkt", "--out", str(tmp_path / "o"), "--mus", "1", "--seed", "-2"]

@@ -1,9 +1,12 @@
 import ast
 import dataclasses
+import gc
 import io
 import math
+import pickle
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +31,7 @@ from langopt import (
 from langopt import autodiff as ad
 from langopt.nlp import NlpProblem, OcpDefinition, transcribe
 from langopt.problems import get_problem, pendulum_ocp, toy_kkt_problem
-from langopt.solver import _BLOCK_ROWS, _MAX_RETRIES, _Box, _Phase, _Streams, _advance
+from langopt.solver import _BLOCK_ROWS, _MAX_RETRIES, _WRITE_ROWS, _Box, _Phase, _Streams, _advance
 
 
 def boxed_toy(lo=-10.0, hi=10.0):
@@ -145,6 +148,15 @@ class TestTraceWriters:
             snapshot_iters=np.array([0, 1]), snapshots=np.zeros((2, 0)),
         )
         yield zero_cols
+        table = np.stack([v, -v, v[::-1]], axis=1)
+        shared_sigma = 3 * v
+        shared_sigma.flags.writeable = False
+        yield Trace(  # a strided column of a 2-D array, and a read-only prefix view
+            iters=np.arange(7), cost=table[:7, 1], hsq=table[:7, 2], energy=table[:7, 0], sigma=shared_sigma[:7],
+        )
+        T = 2 * _WRITE_ROWS + 1  # the rows are written in chunks
+        long = np.resize(v, T)
+        yield Trace(iters=np.arange(T), cost=long, hsq=long[::-1], energy=-long, sigma=long + 1.0)
         yield solve(toy_kkt_problem(), np.ones(2), config=SolverConfig(iterations=40, snapshot_stride=7)).trace
 
     def test_bytes_of_the_row_by_row_writers(self, tmp_path):
@@ -771,6 +783,26 @@ class TestSolveBatch:
         with pytest.raises(ValueError, match="threads"):
             solve_batch(toy_kkt_problem(), [np.ones(2)] * 2, SolverConfig(iterations=5), threads=threads)
 
+    def test_empty_batch_names_x0s(self):
+        with pytest.raises(ValueError, match="x0s is empty"):
+            solve_batch(toy_kkt_problem(), [], SolverConfig(iterations=5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x0_named_with_the_barrier_on(self, bad):
+        # the toy problem has no finite bound: the entry is not finite, not outside a bound
+        with pytest.raises(BarrierDomainError, match=r"^x0s\[1\] has a non-finite entry$"):
+            solve_batch(toy_kkt_problem(), [np.ones(2), np.array([0.0, bad])], SolverConfig(iterations=5))
+        with pytest.raises(BarrierDomainError, match=r"^x0s\[0\] is not strictly interior to finite bounds$"):
+            solve_batch(boxed_toy(-1.0, 1.0), [np.full(2, 5.0), np.array([0.0, bad])], SolverConfig(iterations=5))
+
+    def test_non_finite_x0_with_the_barrier_off_fails_its_chain(self):
+        cfg = SolverConfig(iterations=5, barrier_weight=0.0)
+        sols = solve_batch(toy_kkt_problem(), [np.ones(2), np.array([np.nan, 0.0])], cfg)
+        assert [(s.success, s.message, len(s.trace)) for s in sols] == [
+            (True, "ok", 5),
+            (False, "non-finite drift at iteration 0", 1),
+        ]
+
     def test_lambda0s_continuation(self):
         nlp = toy_kkt_problem()
         cfg = SolverConfig(iterations=100, seed=0)
@@ -1130,3 +1162,134 @@ class TestFailureIsolation:
         assert not sol.success and sol.message == f"non-finite drift at iteration {it}"
         assert len(sol.trace) == it + 1
         assert sol.trace.hsq.tobytes() == clean[victim].trace.hsq[: it + 1].tobytes()
+
+
+def reachable_strings(ignore):
+    """Every str that a gc-tracked object other than ``ignore`` holds, directly or through untracked containers."""
+    stack, seen = [obj for obj in gc.get_objects() if obj is not ignore], set()
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if type(ref) is str:
+                yield ref
+            elif type(ref) in (dict, list, tuple) and not gc.is_tracked(ref) and id(ref) not in seen:
+                seen.add(id(ref))
+                stack.append(ref)
+
+
+class TestBatchColumns:
+    """The traces of a batch share one read-only iteration column and one read-only σ column."""
+
+    PHASES = [
+        SolverConfig(iterations=30, hold=5, sigma0=0.5, seed=3, snapshot_stride=7),
+        SolverConfig(iterations=25, sigma0=0.2, sigma_min=1e-3, seed=9, snapshot_stride=4),
+    ]
+
+    def batch(self, phases=PHASES):
+        """Three chains of ``phases`` on the toy problem; chain 1's drift is NaN at iteration 12."""
+        nlp = toy_kkt_problem()
+        oracle, calls = nlp.cost_and_gradient, []
+
+        def poisoned(X):  # one call per iteration over the whole stack: the toy problem has no bounds
+            c, g = oracle(X)
+            if len(calls) == 12:
+                g = g.copy()
+                g[1] = np.nan
+            calls.append(None)
+            return c, g
+
+        x0s = [np.array([1.0, -0.5]), np.array([2.0, 0.3]), np.array([-1.5, 0.5])]
+        return solve_batch(dataclasses.replace(nlp, cost_and_gradient=poisoned), x0s, phases)
+
+    def test_bytes_of_the_row_by_row_writer(self, tmp_path):
+        sols = self.batch()
+        assert [s.success for s in sols] == [True, False, True]
+        assert [len(s.trace) for s in sols] == [55, 13, 55]
+        for j in (1, 0, 2, 1, 0):  # the short trace formats the shared columns; later writes reuse them
+            t = sols[j].trace
+            buf = io.StringIO()
+            t.to_csv(buf)
+            assert buf.getvalue() == row_by_row_trace_csv(t)
+            t.to_csv(tmp_path / "t.csv")
+            assert (tmp_path / "t.csv").read_bytes() == row_by_row_trace_csv(t).encode()
+
+    def test_columns_are_read_only_prefixes_of_one_array(self):
+        sols = self.batch()
+        full = sols[0].trace
+        assert np.array_equal(full.iters, np.arange(55))
+        for s in sols:
+            for name in ("iters", "sigma"):
+                col, ref = getattr(s.trace, name), getattr(full, name)
+                assert np.shares_memory(col, ref)
+                assert col.tobytes() == ref[: len(col)].tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    col[0] = 1
+                with pytest.raises(ValueError):
+                    col.flags.writeable = True
+        assert sols[1].trace.iters.shape == sols[1].trace.sigma.shape == (13,)
+
+    def test_batches_share_no_column(self):
+        a, b = self.batch(), self.batch()
+        for name in ("iters", "sigma"):
+            assert not np.shares_memory(getattr(a[0].trace, name), getattr(b[0].trace, name))
+
+    def test_copies_and_reassigned_columns_format_their_own(self):
+        colder = [dataclasses.replace(p, sigma0=p.sigma0 / 2) for p in self.PHASES]
+        sols, other = self.batch(), self.batch(colder)
+        t = sols[0].trace
+        t.to_csv(io.StringIO())  # the shared strings now exist
+        copies = [
+            dataclasses.replace(t),
+            dataclasses.replace(t, sigma=t.sigma * 2),
+            pickle.loads(pickle.dumps(t)),
+        ]
+        assert copies[2]._columns is None  # pickled without the batch's strings
+
+        def cut(n, **cols):
+            """``t``'s first ``n`` rows with ``cols`` put in, still holding the batch's columns."""
+            names = ("iters", "cost", "hsq", "energy", "sigma")
+            c = Trace(**{k: cols.get(k, getattr(t, k)[:n]) for k in names})
+            c._columns = t._columns
+            return c
+
+        copies += [
+            cut(55, iters=t.iters + 100),
+            cut(54, sigma=t.sigma[1:]),  # a view of the shared array that is no prefix
+            cut(28, sigma=t.sigma[::2]),
+            cut(55, sigma=other[0].trace.sigma),  # another batch's column
+            cut(40),  # shorter prefixes of the shared arrays: still shared
+            cut(40, cost=t.cost, hsq=t.hsq, energy=t.energy),  # rows end with the shared columns
+        ]
+        for c in copies:
+            buf = io.StringIO()
+            c.to_csv(buf)
+            assert buf.getvalue() == row_by_row_trace_csv(c)
+
+    def test_formatted_columns_die_with_the_batch(self):
+        sols = self.batch()
+        for sol in sols:
+            sol.trace.to_csv(io.StringIO())
+        columns = weakref.ref(sols[0].trace._columns)
+        del sols, sol
+        gc.collect()
+        assert columns() is None
+
+    def test_no_earlier_batch_stays_reachable(self):
+        refs, strings = [], []
+        for b in range(10):
+            cfg = SolverConfig(iterations=20 + b, sigma0=0.1 + b, seed=b)
+            sols = solve_batch(toy_kkt_problem(), [np.ones(2)] * 3, cfg)
+            for sol in sols:
+                sol.trace.to_csv(io.StringIO())
+            refs.append(weakref.ref(sols[0].trace._columns))
+            strings.append(
+                (tuple(map(repr, range(20 + b))), tuple(repr(float(v)) for v in sols[0].trace.sigma))
+            )
+        gc.collect()
+        assert [r() is None for r in refs] == [True] * 9 + [False]
+        # neither as a list of strings nor as one joined string
+        split = {col for cols in strings[:-1] for col in cols}
+        joined = {"\n".join(col) for col in split}
+        lengths = {len(col) for col in split}
+        held = [obj for obj in gc.get_objects() if type(obj) is list and len(obj) in lengths]
+        assert not any(tuple(obj) in split for obj in held)
+        assert not any(s in joined for s in reachable_strings(ignore=joined))
