@@ -216,6 +216,8 @@ def cmd_sweep(args) -> int:
     sols = _run_solver(bundle, cfg, [x0] * len(mus), mus)[1]
     wall_ms = (time.perf_counter() - t0) * 1e3
 
+    for sol in sols:
+        sol.trace._check_lengths(("iters", "hsq"))
     with open(out / "sweep.csv", "w") as f:
         f.write("mu,iter,hsq\n")
         for mu, sol in zip(mus, sols):

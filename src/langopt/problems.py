@@ -8,7 +8,6 @@ dual-number arrays used for differentiation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -58,31 +57,18 @@ def pendulum_dynamics(x, u, params: PendulumParams = PendulumParams()):
     return x + params.dt * ad.stack([theta_dot, theta_ddot], axis=-1)
 
 
-@lru_cache(maxsize=None)
-def _seeds(d, ndim):
-    """Identity seed tangents of ``d`` stage coordinates, as ``(d, d) + (1,) * ndim``.
-
-    ``e[i]`` is coordinate i's tangent along each of the d directions,
-    broadcasting against ``ndim`` value axes: the cost oracles below run the
-    dual pass's tangent arithmetic on it in place of a ``Dual``, in the same
-    order, so they carry its bytes, a non-finite input's NaN included. Their
-    gradients come out tangent-major, ``(d,) + lead``, the layout
-    :class:`~langopt.nlp.OcpDefinition` asks for. Built once per
-    ``(d, ndim)`` and shared, so the array is read-only.
-    """
-    e = np.eye(d).reshape((d, d) + (1,) * ndim)
-    e.flags.writeable = False
-    return e
-
-
 def pendulum_ocp(params: PendulumParams = PendulumParams()) -> OcpDefinition:
     """Swingup from hanging ([pi, 0]) to upright, with strict torque limits.
 
     Stage coordinates are [theta, theta_dot, tau]. Every stage oracle
     carries the bytes of the dual pass over its callable, NaN positions
-    included. The cost oracles run that pass on :func:`_seeds`. The dynamics
-    oracle computes ``f`` with the operations of :func:`pendulum_dynamics`
-    and its Jacobian at its structure, one ``(...)`` plane per entry: the
+    included. The cost oracles write their gradients one ``(...)`` plane
+    per tangent row, and each plane runs the dual pass's per-entry
+    operations in its order (see :func:`bugtrap_ocp`): the running cost's
+    ``(0.0 + 2 tau * seed) * effort`` and the terminal cost's
+    ``2 theta * seed * 10.0 + 2 theta_dot * seed * 1.0``, with ``seed``
+    the tangent's 1.0 or 0.0. The dynamics oracle computes ``f`` with the
+    operations of :func:`pendulum_dynamics` and its Jacobian at its structure, one ``(...)`` plane per entry: the
     one varying entry, ``d f_1 / d theta``, runs the dual pass's operations
     in its order; the constant entries of row 1 are the constant plus a
     NaN-carrying zero plane, ``0.0 - cos * 0.0``, which is +0.0 where
@@ -118,9 +104,15 @@ def pendulum_ocp(params: PendulumParams = PendulumParams()) -> OcpDefinition:
         return effort * ad.asum(u**2.0, axis=-1)
 
     def running_cost_and_gradient(x, u):
-        e = _seeds(3, u.ndim - 1)
-        g = (0.0 + 2.0 * u[..., 0] ** 1.0 * e[2]) * effort  # Dual.sum adds onto +0.0
-        return running_cost(x, u), g
+        du = 2.0 * u[..., 0]
+        g = np.empty((3,) + du.shape)  # planes (0.0 + du * seed) * effort: Dual.sum adds onto +0.0
+        off = np.multiply(du, 0.0, out=g[0])
+        np.add(0.0, off, out=off)
+        off *= effort
+        g[1] = off
+        on = np.add(0.0, du, out=g[2])
+        on *= effort
+        return effort * u[..., 0] ** 2.0, g  # the sum over the one control is the control's square
 
     def terminal_cost(x):
         theta = x[..., 0]
@@ -128,8 +120,10 @@ def pendulum_ocp(params: PendulumParams = PendulumParams()) -> OcpDefinition:
         return 10.0 * theta**2.0 + 1.0 * theta_dot**2.0
 
     def terminal_cost_and_gradient(x):
-        e = _seeds(2, x.ndim - 1)
-        g = 2.0 * x[..., 0] ** 1.0 * e[0] * 10.0 + 2.0 * x[..., 1] ** 1.0 * e[1] * 1.0
+        d_theta, d_rate = 2.0 * x[..., 0], 2.0 * x[..., 1]
+        g = np.empty((2,) + d_theta.shape)  # planes d_theta * seed * 10.0 + d_rate * seed * 1.0
+        np.add(d_theta * 10.0, d_rate * 0.0, out=g[0, ...])
+        np.add(d_theta * 0.0 * 10.0, d_rate, out=g[1, ...])
         return terminal_cost(x), g
 
     return OcpDefinition(
@@ -263,8 +257,15 @@ def obstacle_value_and_gradient(p, geom: BugTrapGeometry, boxes=None):
     coordinate or an overflowing square too. ``boxes`` is
     :func:`_box_arrays` of ``geom``, built per call when not given.
     """
-    center, half = _box_arrays(geom) if boxes is None else boxes
     p = np.asarray(p, dtype=float)
+    total, grad = _obstacle_terms(p, geom, _box_arrays(geom) if boxes is None else boxes)
+    grad += _position_zero(p)  # each axis's tangent also multiplies the other axis's offset by 0
+    return total, grad
+
+
+def _obstacle_terms(p, geom, boxes):
+    """:func:`obstacle_value_and_gradient` of float points ``p`` before its :func:`_position_zero` is added."""
+    center, half = boxes
     lead = p.shape[:-1]
     # (2, R, M): axis, rectangle, point; subtracted from the (possibly strided) position
     # views straight into the buffer, with no copy of the positions first
@@ -307,9 +308,7 @@ def obstacle_value_and_gradient(p, geom: BugTrapGeometry, boxes=None):
         grad += dramp[:, i]
     total *= geom.w_obs
     grad *= geom.w_obs
-    grad = grad.reshape((2,) + lead)
-    grad += _position_zero(p)  # each axis's tangent also multiplies the other axis's offset by 0
-    return total.reshape(lead), grad
+    return total.reshape(lead), grad.reshape((2,) + lead)
 
 
 def _position_zero(p):
@@ -327,10 +326,21 @@ def bugtrap_ocp(geom: BugTrapGeometry = BugTrapGeometry()) -> OcpDefinition:
 
     Stage coordinates are [px, py, theta, v, omega]. Every stage oracle
     carries the bytes of the dual pass over its callable, NaN positions
-    included. The cost oracles run that pass on :func:`_seeds`, with the
-    obstacle term from :func:`obstacle_value_and_gradient` along the two
-    position tangents and :func:`_position_zero` along the other three. The
-    dynamics oracle computes ``f`` with the operations of
+    included. The cost oracles write their gradients one ``(...)`` plane
+    per tangent row, and each plane runs the dual pass's per-entry
+    operations in its order: a coordinate's derivative times the tangent's
+    seed, 1.0 or 0.0, so that a plane off the coordinate's own tangent is a
+    zero that is NaN where the dual pass's is. Products by 1.0 and the
+    ``** 1.0`` of a square's derivative are left out: both give their
+    operand's bytes. The running cost's plane j is the obstacle term plus
+    the effort term ``((0.0 + du0 * s0) + du1 * s1) * effort``, with
+    ``du = 2 u`` and ``s`` tangent j's control seeds. The obstacle term is
+    the closed form of :func:`obstacle_value_and_gradient` along the two
+    position tangents and :func:`_position_zero`, computed once per call,
+    along the other three. The terminal cost's planes are
+    ``((0.0 + 2 dp0 * s0) + 2 dp1 * s1) * w_goal`` on the value's own
+    ``dp``. Each value's sum over two squares is their one addition, as in
+    the dual pass. The dynamics oracle computes ``f`` with the operations of
     :func:`unicycle_dynamics` and its Jacobian at its structure, one
     ``(...)`` plane per entry: the four ``v * cos`` / ``v * sin`` tangents
     (along theta and v) run the dual pass's operations in its order; the
@@ -370,23 +380,47 @@ def bugtrap_ocp(geom: BugTrapGeometry = BugTrapGeometry()) -> OcpDefinition:
         return obstacle_penalty(x[..., :2], geom) + effort * ad.asum(u**2.0, axis=-1)
 
     def running_cost_and_gradient(x, u):
-        obs, dobs = obstacle_value_and_gradient(x[..., :2], geom, boxes)
-        zero = _position_zero(x[..., :2])
-        e = _seeds(5, obs.ndim)
-        du = 2.0 * u**1.0
-        # the obstacle term along the five stage tangents, each its own chain as in the dual pass
-        g = np.stack([dobs[0], dobs[1], zero, zero, zero]) + (0.0 + du[..., 0] * e[3] + du[..., 1] * e[4]) * effort
-        return obs + effort * np.sum(u**2.0, axis=-1), g
+        p = x[..., :2]
+        obs, dobs = _obstacle_terms(p, geom, boxes)
+        zero = _position_zero(p)
+        dobs += zero
+        # the effort term along the five stage tangents, in the dual pass's order: 0.0, then
+        # du0 times the tangent's u0 seed, then du1 times its u1 seed, then the weight
+        du = 2.0 * u
+        du0, du1 = du[..., 0], du[..., 1]
+        u0_off = np.add(0.0, du0 * 0.0)  # shared by planes 0-2 and 4
+        u1_off = du1 * 0.0  # shared by planes 0-3
+        g = np.empty((5,) + obs.shape)
+        nz = np.add(u0_off, u1_off, out=g[2])
+        nz *= effort  # off the control tangents: +0.0, or NaN where the dual pass's is
+        np.add(dobs, nz, out=g[:2])
+        g3 = np.add(0.0, du0, out=g[3])
+        g3 += u1_off
+        g3 *= effort
+        g4 = np.add(u0_off, du1, out=g[4])
+        g4 *= effort
+        np.add(zero, g[2:], out=g[2:])
+        u_sq = u[..., 0] ** 2.0
+        u_sq += u[..., 1] ** 2.0  # the sum over the two controls: one addition, in order
+        return obs + effort * u_sq, g
 
     def terminal_cost(x):
         dp = x[..., :2] - goal
         return geom.w_goal * ad.asum(dp**2.0, axis=-1)
 
     def terminal_cost_and_gradient(x):
-        e = _seeds(3, x.ndim - 1)
-        two_dp = 2.0 * (x[..., :2] - goal) ** 1.0
-        g = (0.0 + two_dp[..., 0] * e[0] + two_dp[..., 1] * e[1]) * geom.w_goal
-        return terminal_cost(x), g
+        dp = x[..., :2] - goal
+        two_dp = 2.0 * dp
+        t0, t1 = two_dp[..., 0], two_dp[..., 1]
+        t0_off, t1_off = np.add(0.0, t0 * 0.0), t1 * 0.0
+        g = np.empty((3,) + dp.shape[:-1])  # planes ((0.0 + t0 * seed) + t1 * seed) * w_goal
+        np.add(np.add(0.0, t0), t1_off, out=g[0, ...])
+        np.add(t0_off, t1, out=g[1, ...])
+        np.add(t0_off, t1_off, out=g[2, ...])
+        g *= geom.w_goal
+        dp_sq = dp[..., 0] ** 2.0
+        dp_sq += dp[..., 1] ** 2.0  # the sum over the two coordinates: one addition, in order
+        return geom.w_goal * dp_sq, g
 
     return OcpDefinition(
         K=geom.K,

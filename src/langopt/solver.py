@@ -201,6 +201,13 @@ class Trace:
         # a pickled copy holds its own columns, not the batch's formatted strings
         return {k: v for k, v in self.__dict__.items() if k != "_columns"}
 
+    def _check_lengths(self, names):
+        """Raise a ValueError naming each of columns ``names`` and its length unless they have one length."""
+        lengths = [len(getattr(self, name)) for name in names]
+        if len(set(lengths)) > 1:
+            listed = ", ".join(f"{name} {n}" for name, n in zip(names, lengths))
+            raise ValueError(f"trace columns differ in length ({listed}): a CSV row needs an entry of each")
+
     def _strings(self, name):
         """The reprs of column ``name``, read from the batch's when it shares them."""
         column = getattr(self, name)
@@ -209,14 +216,17 @@ class Trace:
 
     def to_csv(self, path_or_file) -> None:
         """Write the trace with header ``iter,cost,hsq,energy,sigma``."""
+        names = ("iters", "cost", "hsq", "energy", "sigma")
+        self._check_lengths(names)
         with _writable(path_or_file) as f:
             f.write("iter,cost,hsq,energy,sigma\n")
-            cols = [self._strings(k) for k in ("iters", "cost", "hsq", "energy", "sigma")]
+            cols = [self._strings(k) for k in names]
             rows = map(",".join, zip(*cols))
             while chunk := list(itertools.islice(rows, _WRITE_ROWS)):
                 f.write("\n".join(chunk) + "\n")
 
     def snapshots_to_csv(self, path_or_file) -> None:
+        self._check_lengths(("snapshot_iters", "snapshots"))
         with _writable(path_or_file) as f:
             ncols = self.snapshots.shape[1] if self.snapshots.size else 0
             f.write("iter," + ",".join(f"v{j}" for j in range(ncols)) + "\n")
@@ -745,11 +755,25 @@ def trajectory_guess(ocp: OcpDefinition, state_box: np.ndarray, rng) -> np.ndarr
     at 0, and one with a single finite bound at 0 if that is strictly inside,
     else one unit inside the bound. ``state_box`` has shape (nx, 2) with
     [low, high] rows; states for all K+1 knots are drawn i.i.d. from it, so
-    the guess is scattered and dynamically infeasible by construction.
+    the guess is scattered and dynamically infeasible by construction. A
+    state with a finite bound is drawn from the box's row intersected with
+    the open interval between its bounds; a ValueError names ``state_box``
+    when that intersection is empty.
     """
     box = np.asarray(state_box, dtype=float)
     if box.shape != (ocp.nx, 2):
         raise ValueError(f"state_box has shape {box.shape}, expected ({ocp.nx}, 2)")
+    # a row with a finite state bound is cut to the closest floats strictly inside its bounds
+    bounded = np.isfinite(ocp.x_lower) | np.isfinite(ocp.x_upper)
+    low = np.where(bounded, np.maximum(box[:, 0], np.nextafter(ocp.x_lower, np.inf)), box[:, 0])
+    high = np.where(bounded, np.minimum(box[:, 1], np.nextafter(ocp.x_upper, -np.inf)), box[:, 1])
+    empty = np.flatnonzero(bounded & ~(low <= high))
+    if empty.size:
+        i = empty[0]
+        raise ValueError(
+            f"state_box row {i} {box[i].tolist()} has no point strictly inside the "
+            f"state bounds ({ocp.x_lower[i]}, {ocp.x_upper[i]})"
+        )
     lo, hi = ocp.u_lower, ocp.u_upper
     fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
     u0 = np.zeros(ocp.nu)
@@ -760,5 +784,5 @@ def trajectory_guess(ocp: OcpDefinition, state_box: np.ndarray, rng) -> np.ndarr
     hi_only = fin_hi & ~fin_lo & ~(hi > 0.0)
     u0[hi_only] = hi[hi_only] - 1.0
     U = np.tile(u0, (ocp.K, 1))
-    X = rng.uniform(box[:, 0], box[:, 1], size=(ocp.K + 1, ocp.nx))
+    X = rng.uniform(low, high, size=(ocp.K + 1, ocp.nx))
     return join(U, X, Layout(ocp.K, ocp.nx, ocp.nu))

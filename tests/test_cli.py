@@ -345,6 +345,21 @@ class TestSweep:
                 ref += f"{mu!r},{int(sol.trace.iters[i])},{float(sol.trace.hsq[i])!r}\n"
         assert (out / "sweep.csv").read_text() == ref
 
+    def test_sweep_rejects_a_trace_whose_columns_differ_in_length(self, tmp_path, monkeypatch, capsys):
+        # a chain whose hsq column lost its last row: no sweep.csv cut to the shorter column
+        run_solver = langopt.cli._run_solver
+
+        def short_hsq(*a):
+            phases, sols = run_solver(*a)
+            sols[1].trace.hsq = sols[1].trace.hsq[:-1]
+            return phases, sols
+
+        monkeypatch.setattr(langopt.cli, "_run_solver", short_hsq)
+        out = tmp_path / "sw"
+        assert main(["sweep", "--problem", "toy_kkt", "--out", str(out), "--mus", "0.1,2.5", *FAST]) == 1
+        assert "trace columns differ in length (iters 50, hsq 49)" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
     def test_sweep_negative_seed(self, tmp_path, capsys):
         args = ["sweep", "--problem", "toy_kkt", "--out", str(tmp_path / "o"), "--mus", "1", "--seed", "-2"]
         assert main(args) == 1

@@ -6,9 +6,9 @@ from langopt import Layout, join, split
 from langopt.autodiff import check_gradient
 from langopt.problems import (
     BugTrapGeometry,
-    _seeds,
     PendulumParams,
     Rect,
+    _position_zero,
     bugtrap_ocp,
     get_problem,
     obstacle_penalty,
@@ -243,6 +243,30 @@ class TestObstacleClosedForm:
         assert same_bits(grad, ref.eps)
         assert same_bits(ocp.running_cost(xs, u), ref.val)
 
+    @pytest.mark.parametrize("lead", [(10, 60), (64, 50)])
+    def test_running_gradient_is_the_obstacle_gradient_plus_the_effort_tangents(self, lead):
+        # every byte, NaN payloads included: the closed-form obstacle gradient, its position
+        # zero along the other three tangents, then the effort term's dual pass added in that order
+        geom, ocp = self.geom, bugtrap_ocp(self.geom)
+        rng = np.random.default_rng(13)
+        values = np.array([0.0, -0.0, 1.2, -1.0, np.nan, -np.nan, np.inf, -np.inf, 1e308, -1e308])
+        xs, u = (
+            np.where(rng.random(lead + (k,)) < 0.4, rng.choice(values, lead + (k,)), rng.uniform(-2, 2, lead + (k,)))
+            for k in (3, 2)
+        )
+        eps_u = np.zeros((5,) + u.shape)
+        for j in range(2):
+            eps_u[3 + j, ..., j] = 1.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            value, grad = ocp.running_cost_and_gradient(xs, u)
+            obs, dobs = obstacle_value_and_gradient(xs[..., :2], geom)
+            effort = geom.dt * 0.01 * ad.asum(ad.Dual(u, eps_u) ** 2.0, axis=-1)
+            zero = _position_zero(xs[..., :2])
+            ref = np.stack([dobs[0], dobs[1], zero, zero, zero]) + effort.eps
+            ref_value = obs + effort.val
+        assert np.isnan(grad).any() and same_bits(grad, ref)
+        assert same_bits(value, ref_value)
+
 
 class TestObstacleNaN:
     """A NaN position reads NaN in every form of the penalty, as ``np.maximum`` keeps it."""
@@ -315,26 +339,23 @@ class TestRegistry:
             get_problem("nosuch")
 
 
-class TestSeedCache:
-    def test_cached_seeds_are_read_only(self):
-        e = _seeds(3, 2)
-        assert _seeds(3, 2) is e
-        assert e.shape == (3, 3, 1, 1) and e[1, 1, 0, 0] == 1.0 and e[0, 1, 0, 0] == 0.0
-        with pytest.raises(ValueError):
-            e[0, 1] = 1.0
-
+class TestOracleOutputs:
     @pytest.mark.parametrize("make_ocp", [pendulum_ocp, bugtrap_ocp])
     def test_oracles_return_their_own_gradients(self, make_ocp):
-        # a caller that writes into a returned gradient changes no later call
+        # a caller that writes into a returned gradient changes no later call, and a later
+        # call at other points leaves an earlier call's gradient as it was
         ocp = make_ocp()
         rng = np.random.default_rng(5)
         x, u = rng.standard_normal((4, 6, ocp.nx)), rng.standard_normal((4, 6, ocp.nu))
-        for oracle, args in (
-            (ocp.running_cost_and_gradient, (x, u)),
-            (ocp.terminal_cost_and_gradient, (x[:, 0],)),
+        x2, u2 = rng.standard_normal(x.shape), rng.standard_normal(u.shape)
+        for oracle, args, other in (
+            (ocp.running_cost_and_gradient, (x, u), (x2, u2)),
+            (ocp.terminal_cost_and_gradient, (x[:, 0],), (x2[:, 0],)),
         ):
             _, g = oracle(*args)
             before = g.tobytes()
+            _, g2 = oracle(*other)
+            assert g.tobytes() == before and not np.shares_memory(g, g2)
             g[...] = 7.0
             assert oracle(*args)[1].tobytes() == before
 

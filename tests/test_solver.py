@@ -4,6 +4,7 @@ import gc
 import io
 import math
 import pickle
+import re
 import sys
 import threading
 import weakref
@@ -30,7 +31,7 @@ from langopt import (
 )
 from langopt import autodiff as ad
 from langopt.nlp import NlpProblem, OcpDefinition, transcribe
-from langopt.problems import get_problem, pendulum_ocp, toy_kkt_problem
+from langopt.problems import PENDULUM_GUESS_BOX, get_problem, pendulum_ocp, toy_kkt_problem
 from langopt.solver import _BLOCK_ROWS, _MAX_RETRIES, _WRITE_ROWS, _Box, _Phase, _Streams, _advance
 
 
@@ -167,6 +168,24 @@ class TestTraceWriters:
                 assert buf.getvalue() == ref(t)
                 write(tmp_path / "t.csv")  # a path is opened and closed
                 assert (tmp_path / "t.csv").read_bytes() == ref(t).encode()
+
+    def test_columns_of_different_lengths_are_rejected(self, tmp_path):
+        # 55 iteration rows and 54 sigma rows: no CSV cut to the shorter column, and no file
+        v = np.resize(self.SPECIAL, 55)
+        t = Trace(iters=np.arange(55), cost=v, hsq=v, energy=v, sigma=v[:54])
+        msg = "trace columns differ in length (iters 55, cost 55, hsq 55, energy 55, sigma 54)"
+        for target in (io.StringIO(), tmp_path / "t.csv"):
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                t.to_csv(target)
+        assert not (tmp_path / "t.csv").exists()
+        t = Trace(
+            iters=np.arange(3), cost=v[:3], hsq=v[:3], energy=v[:3], sigma=v[:3],
+            snapshot_iters=np.array([0, 1, 2]), snapshots=np.zeros((2, 4)),
+        )
+        t.to_csv(io.StringIO())
+        with pytest.raises(ValueError, match=re.escape("(snapshot_iters 3, snapshots 2)")):
+            t.snapshots_to_csv(tmp_path / "s.csv")
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestNoiseSchedule:
@@ -889,6 +908,33 @@ class TestTrajectoryGuess:
         x0 = bundle.guess(np.random.default_rng(0))
         assert bundle.nlp.constraint_violation(x0) > 1.0
 
+    def bounded_pendulum(self):
+        """The pendulum with ``|theta_dot| <= 3``: half of the default guess box's rate range."""
+        return dataclasses.replace(pendulum_ocp(), x_lower=[-np.inf, -3.0], x_upper=[np.inf, 3.0])
+
+    def test_states_drawn_strictly_inside_finite_state_bounds(self):
+        ocp = self.bounded_pendulum()
+        rng = np.random.default_rng(4)
+        x0s = [trajectory_guess(ocp, PENDULUM_GUESS_BOX, rng) for _ in range(50)]
+        X = np.stack([x0[ocp.K :].reshape(ocp.K + 1, 2) for x0 in x0s])
+        assert np.all(np.abs(X[..., 1]) < 3.0) and np.max(np.abs(X[..., 1])) > 2.5
+        assert X[..., 0].min() >= 0.0 and X[..., 0].max() <= 2 * np.pi  # the unbounded angle keeps its box
+        cfg = SolverConfig(iterations=20, sigma0=0.1)
+        sols = solve_batch(transcribe(ocp), x0s, cfg)  # every guess passes the interior check
+        assert all(s.success for s in sols)
+
+    def test_unbounded_states_draw_what_the_box_alone_draws(self):
+        ocp = pendulum_ocp()
+        x0 = trajectory_guess(ocp, PENDULUM_GUESS_BOX, np.random.default_rng(6))
+        X = np.random.default_rng(6).uniform(PENDULUM_GUESS_BOX[:, 0], PENDULUM_GUESS_BOX[:, 1], size=(ocp.K + 1, 2))
+        assert x0[ocp.K :].tobytes() == X.tobytes()
+
+    @pytest.mark.parametrize("row", [[4.0, 6.0], [-6.0, -3.0], [3.0, 3.0], [2.0, -2.0]])
+    def test_box_outside_the_state_bounds_rejected(self, row):
+        box = np.array([[0.0, 1.0], row])
+        with pytest.raises(ValueError, match="state_box row 1"):
+            trajectory_guess(self.bounded_pendulum(), box, np.random.default_rng(0))
+
 
 class TestEnergyDescent:
     def test_late_phase_energy_decreases(self):
@@ -1257,12 +1303,14 @@ class TestBatchColumns:
             cut(28, sigma=t.sigma[::2]),
             cut(55, sigma=other[0].trace.sigma),  # another batch's column
             cut(40),  # shorter prefixes of the shared arrays: still shared
-            cut(40, cost=t.cost, hsq=t.hsq, energy=t.energy),  # rows end with the shared columns
         ]
         for c in copies:
             buf = io.StringIO()
             c.to_csv(buf)
             assert buf.getvalue() == row_by_row_trace_csv(c)
+        # rows that would end before the shared columns do: rejected, not cut to the iteration column
+        with pytest.raises(ValueError, match=re.escape("(iters 40, cost 55, hsq 55, energy 55, sigma 40)")):
+            cut(40, cost=t.cost, hsq=t.hsq, energy=t.energy).to_csv(io.StringIO())
 
     def test_formatted_columns_die_with_the_batch(self):
         sols = self.batch()
