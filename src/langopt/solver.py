@@ -182,6 +182,14 @@ class Trace:
     batch's arrays, and writing into them raises. Each is formatted once per
     batch, however many of its traces are written. A trace built any other
     way, or whose column was reassigned, formats its own.
+
+    A batch stores its chains' data once. ``cost``, ``hsq`` and ``energy``
+    are strided views of one column of the batch's ``(T, N)`` buffers,
+    ``snapshots`` a strided view of the batch's ``(S, N, n)`` snapshot
+    buffer and ``snapshot_iters`` a read-only prefix of the batch's snapshot
+    iterations. So a trace keeps its whole batch's buffers alive, however
+    short it is; copy the columns (``np.array(trace.cost)``) to keep one
+    chain's data alone. A pickled trace carries only its own rows.
     """
 
     iters: np.ndarray
@@ -324,8 +332,10 @@ def barrier_value(x, lower, upper):
 # ---------------------------------------------------------------------------
 
 
-# Rows of noise per chain drawn at once; a batch's blocks take N * 16 * n * 8
-# bytes (1.2 MB for 64 pendulum chains), small next to its (T, N) traces.
+# Rows of noise per chain drawn at once. A phase's block takes N * 16 * n * 8
+# bytes (1.2 MB for 64 pendulum chains), is allocated at the phase's first
+# draw (so never in a sigma = 0 phase) and is freed when the phase ends: a
+# batch holds at most one, small next to its (T, N) traces.
 _BLOCK_ROWS = 16
 
 
@@ -403,13 +413,24 @@ class _Streams:
     them all, and an all-chain read is the basic slice ``blocks[:, p]``. The
     first read of a subset copies that cursor into per-chain cursors, which
     every read uses from then on.
+
+    The ``(N, _BLOCK_ROWS, n)`` blocks are allocated at the first read, so
+    streams that are never read (a σ = 0 phase) hold none, and they live as
+    long as the streams do: one phase.
     """
 
     def __init__(self, rngs, n):
         self._rngs = list(rngs)
-        self._blocks = np.empty((len(self._rngs), _BLOCK_ROWS, n))
+        self._n = n
+        self._blocks = None  # allocated at the first read
         self._common = _BLOCK_ROWS  # every chain's cursor while they agree
         self._pos = None  # per-chain cursors, once a subset has read
+
+    def _storage(self):
+        """The blocks, allocated on the first call."""
+        if self._blocks is None:
+            self._blocks = np.empty((len(self._rngs), _BLOCK_ROWS, self._n))
+        return self._blocks
 
     def draw(self, chains):
         """The next row of each chain in the index array ``chains``, in order, as a ``(len(chains), n)`` array.
@@ -422,7 +443,7 @@ class _Streams:
             if chains is None:
                 p = self._common
                 if p == _BLOCK_ROWS:
-                    for rng, block in zip(self._rngs, self._blocks):
+                    for rng, block in zip(self._rngs, self._storage()):
                         rng.standard_normal(out=block)
                     p = 0
                 self._common = p + 1
@@ -432,12 +453,13 @@ class _Streams:
             chains = np.arange(len(self._rngs))
         pos = self._pos[chains]
         spent = pos == _BLOCK_ROWS
+        blocks = self._storage()
         if spent.any():
             for j in chains[spent]:
-                self._rngs[j].standard_normal(out=self._blocks[j])
+                self._rngs[j].standard_normal(out=blocks[j])
             pos[spent] = 0
         self._pos[chains] = pos + 1
-        return self._blocks[chains, pos]
+        return blocks[chains, pos]
 
 
 class _Phase:
@@ -494,10 +516,11 @@ def _advance(nlp, X, Lam, it, phase, streams, active, box):
     failures = {}
     ok = active
     if not np.isfinite(g).all():
-        bad = active & ~np.isfinite(g).all(axis=-1)
-        for j in bad.nonzero()[0]:
+        bad = ~np.isfinite(g).all(axis=-1)
+        for j in (active & bad).nonzero()[0]:
             failures[int(j)] = f"non-finite drift at iteration {it}"
         ok = active & ~bad
+        g = np.where(bad[:, None], 0.0, g)  # their step is discarded; with g, inf - inf would warn
     every = ok.all()
 
     Xc = X - phase.half_alpha * g
@@ -586,7 +609,15 @@ def _run_chains(nlp, box, X0, Lam0, scheds, seeds):
     Every chain runs ``scheds[0]``'s phases, so the iteration and σ columns
     are the same for all: each trace's ``iters`` and ``sigma`` are read-only
     prefix views of one :class:`_BatchColumns`, which formats each column
-    once however many traces are written. Writing into them raises.
+    once however many traces are written, and its ``snapshot_iters`` a
+    read-only prefix of one array. Writing into them raises.
+
+    The kernel writes each iteration's cost, ``hsq`` and energy as one row
+    of a ``(T, N)`` buffer and each snapshot as an ``(N, n)`` slab of one
+    ``(S, N, n)`` buffer. Chain j's trace holds column j of them, cut at its
+    length: its data is stored once, in the batch's buffers. Returns the
+    final ``(N, n)`` and ``(N, m)`` stacks and, per chain, its trace, its
+    error message (None when it ran through) and the phase it ended in.
     """
     N, n = X0.shape
     phases = scheds[0]
@@ -625,27 +656,46 @@ def _run_chains(nlp, box, X0, Lam0, scheds, seeds):
                     active[j] = False
                 if not active.any():
                     break
+        del streams  # the phase's noise block goes before the next phase's is made
         if not active.any():
             break
 
     columns = _BatchColumns(np.arange(T), sigma)
     iters, sigma = columns.arrays["iters"], columns.arrays["sigma"]
-    results = []
+    snap_iters.flags.writeable = False
+    chains = []
     for j in range(N):
         T_j, err, ended = failed.get(j, (T, None, scheds[j][-1]))
-        s_mask = snap_iters < T_j
+        S_j = int(np.searchsorted(snap_iters, T_j))  # the snapshots taken below T_j
         trace = Trace(
             iters=iters[:T_j],
-            cost=tr["cost"][:T_j, j].copy(),
-            hsq=tr["hsq"][:T_j, j].copy(),
-            energy=tr["energy"][:T_j, j].copy(),
+            cost=tr["cost"][:T_j, j],
+            hsq=tr["hsq"][:T_j, j],
+            energy=tr["energy"][:T_j, j],
             sigma=sigma[:T_j],
-            snapshot_iters=snap_iters[s_mask],
-            snapshots=snaps[s_mask, j],
+            snapshot_iters=snap_iters[:S_j],
+            snapshots=snaps[:S_j, j],
         )
         trace._columns = columns
-        results.append((X[j], Lam[j], trace, err, ended))
-    return results
+        chains.append((trace, err, ended))
+    return X, Lam, chains
+
+
+def _stack_entries(name, entries, shape):
+    """Stack the vectors ``entries`` of argument ``name`` into an array of ``shape``, ``(count, width)``.
+
+    Entries of different shapes raise a ValueError naming the first whose
+    shape is not ``(width,)``; a stack of any other shape, one naming its
+    shape.
+    """
+    arrays = [np.asarray(e, dtype=float) for e in entries]
+    if len({a.shape for a in arrays}) > 1:
+        j = next(j for j, a in enumerate(arrays) if a.shape != shape[1:])
+        raise ValueError(f"{name}[{j}] has shape {arrays[j].shape}, expected {shape[1:]}")
+    out = np.stack(arrays) if arrays else np.empty((0, shape[1]))
+    if out.shape != shape:
+        raise ValueError(f"{name} has shape {out.shape}, expected {shape}")
+    return out
 
 
 def solve(
@@ -689,6 +739,13 @@ def solve_batch(
     chain's ``xbar`` and ``lam`` on (as ``x0s`` and ``lambda0s``), with the
     trace numbered continuously.
 
+    Each Solution's trace is a view of the batch's buffers (see
+    :class:`Trace`), and its ``xbar`` and ``lam`` are rows of the batch's
+    final stacks, so the batch's trace data stays in memory until the last
+    of its Solutions and traces is dropped. The batch holds no other copy;
+    while it runs, it also holds one noise block of its current phase, if
+    that phase draws noise.
+
     Per-chain failures are reported on the corresponding Solution
     (``success=False``, ``config`` the phase it failed in) without aborting
     the rest of the batch. Every chain runs in one vectorised stack on the
@@ -698,13 +755,11 @@ def solve_batch(
     (default: zeros).
     """
     _check_int("threads", threads, 1)
-    x0s = [np.asarray(x, dtype=float) for x in x0s]
+    x0s = list(x0s)
     if not x0s:
         raise ValueError("x0s is empty: a batch needs at least one initial point")
-    X0 = np.stack(x0s)
+    X0 = _stack_entries("x0s", x0s, (len(x0s), nlp.n))
     N = X0.shape[0]
-    if X0.shape != (N, nlp.n):
-        raise ValueError(f"x0s has shape {X0.shape}, expected ({N}, {nlp.n})")
     scheds, seeds = _schedules(config, N)
     box = _Box(nlp.lower, nlp.upper)
     if scheds[0][0].barrier_weight > 0:
@@ -714,23 +769,18 @@ def solve_batch(
             if not np.isfinite(X0[j]).all():
                 raise BarrierDomainError(f"x0s[{j}] has a non-finite entry")
             raise BarrierDomainError(f"x0s[{j}] is not strictly interior to finite bounds")
-    if lambda0s is None:
-        Lam0 = np.zeros((N, nlp.m))
-    else:
-        Lam0 = np.stack([np.asarray(l, dtype=float) for l in lambda0s])
-        if Lam0.shape != (N, nlp.m):
-            raise ValueError(f"lambda0s has shape {Lam0.shape}, expected ({N}, {nlp.m})")
+    Lam0 = np.zeros((N, nlp.m)) if lambda0s is None else _stack_entries("lambda0s", lambda0s, (N, nlp.m))
 
     t0 = time.perf_counter()
-    out = _run_chains(nlp, box, X0, Lam0, scheds, seeds)
+    X, Lam, chains = _run_chains(nlp, box, X0, Lam0, scheds, seeds)
     dt_ms = (time.perf_counter() - t0) * 1e3
-    finals = np.stack([xbar for xbar, *_ in out])  # evaluated once for the whole batch; a constant broadcasts
-    hsq = np.broadcast_to(nlp.constraint_violation(finals), (N,))
-    cost = np.broadcast_to(ad.value(nlp.cost(finals)), (N,))
+    # evaluated once on the final stack; a constant broadcasts
+    hsq = np.broadcast_to(nlp.constraint_violation(X), (N,))
+    cost = np.broadcast_to(ad.value(nlp.cost(X)), (N,))
     return [
         Solution(
-            xbar=xbar,
-            lam=lam,
+            xbar=X[j],
+            lam=Lam[j],
             hsq=float(hsq[j]),
             cost=float(cost[j]),
             trace=trace,
@@ -739,7 +789,7 @@ def solve_batch(
             success=err is None,
             message="ok" if err is None else err,
         )
-        for j, (xbar, lam, trace, err, cfg) in enumerate(out)
+        for j, (trace, err, cfg) in enumerate(chains)
     ]
 
 

@@ -7,6 +7,8 @@ import pickle
 import re
 import sys
 import threading
+import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -822,6 +824,40 @@ class TestSolveBatch:
             (False, "non-finite drift at iteration 0", 1),
         ]
 
+    def test_a_failed_chain_warns_nothing(self):
+        cfg = SolverConfig(iterations=5, barrier_weight=0.0)
+        x0s = [np.array([np.inf, 0.0]), np.ones(2), np.array([-np.inf, np.nan])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = solve_batch(toy_kkt_problem(), x0s[:1], cfg)
+            batch = solve_batch(toy_kkt_problem(), x0s, cfg)  # failed chains stay in the stack
+        assert [(s.success, s.message, len(s.trace)) for s in alone] == [
+            (False, "non-finite drift at iteration 0", 1)
+        ]
+        assert [(s.success, s.message, len(s.trace)) for s in batch] == [
+            (False, "non-finite drift at iteration 0", 1),
+            (True, "ok", 5),
+            (False, "non-finite drift at iteration 0", 1),
+        ]
+        assert_same_solution(batch[0], alone[0])
+        assert np.array_equal(batch[2].xbar, x0s[2], equal_nan=True)
+
+    def test_ragged_x0s_names_the_entry(self):
+        nlp = toy_kkt_problem()
+        with pytest.raises(ValueError, match=re.escape("x0s[1] has shape (3,), expected (2,)")):
+            solve_batch(nlp, [np.ones(2), np.ones(3), np.ones(2)], SolverConfig(iterations=5))
+        with pytest.raises(ValueError, match=re.escape("x0s[0] has shape (1, 2), expected (2,)")):
+            solve_batch(nlp, [np.ones((1, 2)), np.ones(2)], SolverConfig(iterations=5))
+
+    def test_ragged_lambda0s_names_the_entry(self):
+        nlp = toy_kkt_problem()
+        with pytest.raises(ValueError, match=re.escape("lambda0s[2] has shape (2,), expected (1,)")):
+            solve_batch(nlp, [np.ones(2)] * 3, SolverConfig(iterations=5), lambda0s=[[0.0], [1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=re.escape("lambda0s[0] has shape (), expected (1,)")):
+            solve_batch(nlp, [np.ones(2)] * 2, SolverConfig(iterations=5), lambda0s=[0.0, [1.0]])
+        with pytest.raises(ValueError, match=re.escape("lambda0s has shape (0, 1), expected (2, 1)")):
+            solve_batch(nlp, [np.ones(2)] * 2, SolverConfig(iterations=5), lambda0s=[])
+
     def test_lambda0s_continuation(self):
         nlp = toy_kkt_problem()
         cfg = SolverConfig(iterations=100, seed=0)
@@ -1316,10 +1352,19 @@ class TestBatchColumns:
         sols = self.batch()
         for sol in sols:
             sol.trace.to_csv(io.StringIO())
-        columns = weakref.ref(sols[0].trace._columns)
-        del sols, sol
+        t = sols[1].trace  # the short trace: it holds the whole batch's buffers
+        names = ("iters", "cost", "hsq", "energy", "sigma", "snapshot_iters", "snapshots")
+        bases = [getattr(t, name).base for name in names]
+        assert all(isinstance(b, np.ndarray) for b in bases)
+        assert len({id(b) for b in bases}) == len(names)
+        assert t.cost.base.shape == (55, 3) and t.snapshots.base.shape == (12, 3, 2)  # of every chain
+        refs = [weakref.ref(t._columns)] + [weakref.ref(b) for b in bases]
+        del sols, sol, bases
         gc.collect()
-        assert columns() is None
+        assert [r() is not None for r in refs] == [True] * len(refs)
+        del t
+        gc.collect()
+        assert [r() is None for r in refs] == [True] * len(refs)
 
     def test_no_earlier_batch_stays_reachable(self):
         refs, strings = [], []
@@ -1341,3 +1386,70 @@ class TestBatchColumns:
         held = [obj for obj in gc.get_objects() if type(obj) is list and len(obj) in lengths]
         assert not any(tuple(obj) in split for obj in held)
         assert not any(s in joined for s in reachable_strings(ignore=joined))
+
+
+class TestBatchMemory:
+    """A batch stores its traces once, in its own buffers, and one noise block while a phase draws."""
+
+    def test_peak_is_the_trace_data_once(self):
+        bundle = get_problem("pendulum")
+        N, T, n = 16, 1000, bundle.nlp.n
+        x0s = schedule_guesses(bundle, N)
+        cfg = SolverConfig(seed=0, iterations=T, snapshot_stride=10)
+        solve_batch(bundle.nlp, x0s, dataclasses.replace(cfg, iterations=3))  # lazy set-up out of the window
+        tracemalloc.start()
+        try:
+            sols = solve_batch(bundle.nlp, x0s, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(s.success for s in sols)
+        data = 24 * N * T + 8 * N * (T // 10) * n  # cost, hsq and energy columns, snapshots
+        block = N * _BLOCK_ROWS * n * 8
+        # the kernel's working arrays take about 0.3 MB here; holding the data twice would add 2.3 MB
+        assert peak < data + block + 2**20, (peak, data, block)
+
+    def test_a_sigma_zero_phase_allocates_no_noise_block(self, monkeypatch):
+        made = []
+
+        class Kept(_Streams):
+            def __init__(self, rngs, n):
+                super().__init__(rngs, n)
+                made.append(self)
+
+        monkeypatch.setattr(langopt.solver, "_Streams", Kept)
+        hot = SolverConfig(iterations=20, sigma0=0.5, seed=4)
+        cold = SolverConfig(iterations=20, sigma0=0.0, sigma_min=0.0)
+        sols = solve_batch(toy_kkt_problem(), [np.ones(2), -np.ones(2)], [cold, hot, cold])
+        assert all(s.success for s in sols)
+        assert [s._blocks is None for s in made] == [True, False, True]
+
+    def test_a_phase_drops_its_noise_block_when_it_ends(self, monkeypatch):
+        made, alive = [], []
+
+        class Watched(_Streams):
+            def __init__(self, rngs, n):
+                alive.append([r() is not None for r in made])  # the earlier phases' streams, now
+                super().__init__(rngs, n)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(langopt.solver, "_Streams", Watched)
+        hot = SolverConfig(iterations=20, sigma0=0.5, seed=4)
+        sols = solve_batch(toy_kkt_problem(), [np.ones(2), -np.ones(2)], [hot, hot, hot])
+        assert all(s.success for s in sols)
+        assert alive == [[], [False], [False, False]]
+        assert [r() is None for r in made] == [True] * 3
+
+    def test_a_pickled_trace_carries_its_own_rows(self):
+        cfg = SolverConfig(iterations=2000, snapshot_stride=10)
+        sols = solve_batch(toy_kkt_problem(), [np.ones(2) * k for k in range(8)], cfg)
+        t = sols[3].trace
+        assert t.cost.base.nbytes == 8 * 2000 * 8 and t.snapshots.base.nbytes == 200 * 8 * 2 * 8
+        names = ("iters", "cost", "hsq", "energy", "sigma", "snapshot_iters", "snapshots")
+        own = sum(getattr(t, name).nbytes for name in names)  # 2000 rows of five columns, 200 snapshots
+        size = len(pickle.dumps(t))
+        assert own <= size < own + 4096, (size, own)
+        copy = pickle.loads(pickle.dumps(t))
+        for name in names:
+            a, b = getattr(copy, name), getattr(t, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -1,4 +1,7 @@
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,18 @@ class TestDigestCompare:
     @pytest.mark.parametrize("change", [{"swingup": {"0": "x"}}, {"trap": {"30": "d"}, "swingup": {"0": "x"}}])
     def test_a_workload_without_common_seeds_fails(self, change):
         assert digest_diff.compare(self.base, change, set()) == ["trap"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads the resident set from /proc")
+def test_batch_memory_reports_a_tiny_batch():
+    tool = Path(__file__).resolve().parents[1] / "tools" / "batch_memory.py"
+    out = subprocess.run(
+        [sys.executable, str(tool), "--chains", "2", "--iters", "50"], capture_output=True, text=True, check=True
+    ).stdout
+    report = json.loads(out)
+    assert (report["chains"], report["iters"]) == (2, 50)
+    # 50 rows of three columns and one snapshot (stride 100) of 152 entries, per chain
+    assert report["trace_mb"] * 2**20 == 2 * (24 * 50 + 8 * 152)
+    assert report["peak_rss_mb"] >= report["rss_before_mb"] > 0
+    assert report["rise_mb"] == pytest.approx(report["peak_rss_mb"] - report["rss_before_mb"])
+    assert report["wall_s"] > 0
