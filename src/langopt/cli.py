@@ -221,8 +221,9 @@ def cmd_sweep(args) -> int:
     with open(out / "sweep.csv", "w") as f:
         f.write("mu,iter,hsq\n")
         for mu, sol in zip(mus, sols):
-            rows = zip(sol.trace._strings("iters"), sol.trace._strings("hsq"))  # a batch's iters: formatted once
-            f.writelines(f"{mu!r},{it},{hsq}\n" for it, hsq in rows)
+            # 256 rows at a time; a batch's iters are formatted once
+            for its, hsqs in zip(sol.trace._blocks("iters"), sol.trace._blocks("hsq")):
+                f.writelines(f"{mu!r},{it},{hsq}\n" for it, hsq in zip(its, hsqs))
     with open(out / "summary.json", "w") as f:
         json.dump(
             {

@@ -465,13 +465,13 @@ def toy_kkt_problem() -> NlpProblem:
 
     # closed-form derivatives: grad c = x, J = [1 1]
     def cost_and_gradient(x):
-        return 0.5 * np.sum(x * x, axis=-1), x
+        return 0.5 * (x * x).sum(axis=-1), x
 
     def constraints_with_vjp(x):
         h = (x[..., 0] + x[..., 1] - 1.0)[..., None]
 
         def vjp(w):
-            return np.repeat(w, 2, axis=-1)
+            return w.repeat(2, axis=-1)
 
         return h, vjp
 

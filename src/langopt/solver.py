@@ -17,7 +17,6 @@ large batch solves tractable without native code.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from contextlib import contextmanager
@@ -134,9 +133,14 @@ def _reprs(column, type_=float):
 # the type each Trace column is written as; the rest are floats
 _COLUMN_TYPES = {"iters": int}
 
-# Trace rows joined per write: a write per row takes about twice as long, and
-# one write per trace holds the whole file as strings at once
+# Trace rows formatted and joined per write: a write per row takes about twice
+# as long, and formatting a whole column at once holds it as Python objects
 _WRITE_ROWS = 256
+
+
+def _repr_blocks(column, type_=float):
+    """The reprs of ``column``'s entries, ``_WRITE_ROWS`` rows at a time."""
+    return (_reprs(column[a : a + _WRITE_ROWS], type_) for a in range(0, len(column), _WRITE_ROWS))
 
 
 class _BatchColumns:
@@ -145,9 +149,11 @@ class _BatchColumns:
     Holds one read-only ``(T,)`` array per column; a chain's trace holds
     prefix views of them. Each column's reprs are made on its first write
     and live as long as this object, that is, as long as a trace of the
-    batch does. They are kept as one newline-joined string per column, which
-    a write splits: kept as T separate strings they raised the peak memory
-    of repeated batches by fragmenting the small-object heap.
+    batch does. They are kept as one newline-joined string per block of
+    ``_WRITE_ROWS`` rows, which a write splits one block at a time: kept as
+    T separate strings they raised the peak memory of repeated batches by
+    fragmenting the small-object heap, and split whole on every write they
+    set the writer's peak.
     """
 
     def __init__(self, iters, sigma):
@@ -156,8 +162,8 @@ class _BatchColumns:
             a.flags.writeable = False
         self._strings = {}
 
-    def strings(self, name, column):
-        """The reprs of ``column``, or None unless it is a prefix view of the shared ``name`` array."""
+    def blocks(self, name, column):
+        """``column``'s reprs, ``_WRITE_ROWS`` rows per list; None unless it is a prefix view of array ``name``."""
         shared = self.arrays.get(name)
         if not (
             shared is not None
@@ -169,8 +175,9 @@ class _BatchColumns:
         ):
             return None
         if name not in self._strings:
-            self._strings[name] = "\n".join(_reprs(shared, _COLUMN_TYPES.get(name, float)))
-        return self._strings[name].split("\n", len(column))[: len(column)]
+            self._strings[name] = list(map("\n".join, _repr_blocks(shared, _COLUMN_TYPES.get(name, float))))
+        n = len(column)
+        return (b.split("\n")[: n - a] for a, b in zip(range(0, n, _WRITE_ROWS), self._strings[name]))
 
 
 @dataclass
@@ -216,11 +223,11 @@ class Trace:
             listed = ", ".join(f"{name} {n}" for name, n in zip(names, lengths))
             raise ValueError(f"trace columns differ in length ({listed}): a CSV row needs an entry of each")
 
-    def _strings(self, name):
-        """The reprs of column ``name``, read from the batch's when it shares them."""
+    def _blocks(self, name):
+        """The reprs of column ``name``, ``_WRITE_ROWS`` rows at a time; the batch's when it shares them."""
         column = getattr(self, name)
-        shared = None if self._columns is None else self._columns.strings(name, column)
-        return _reprs(column, _COLUMN_TYPES.get(name, float)) if shared is None else shared
+        shared = None if self._columns is None else self._columns.blocks(name, column)
+        return _repr_blocks(column, _COLUMN_TYPES.get(name, float)) if shared is None else shared
 
     def to_csv(self, path_or_file) -> None:
         """Write the trace with header ``iter,cost,hsq,energy,sigma``."""
@@ -228,10 +235,8 @@ class Trace:
         self._check_lengths(names)
         with _writable(path_or_file) as f:
             f.write("iter,cost,hsq,energy,sigma\n")
-            cols = [self._strings(k) for k in names]
-            rows = map(",".join, zip(*cols))
-            while chunk := list(itertools.islice(rows, _WRITE_ROWS)):
-                f.write("\n".join(chunk) + "\n")
+            for block in zip(*(self._blocks(k) for k in names)):
+                f.write("\n".join(map(",".join, zip(*block))) + "\n")
 
     def snapshots_to_csv(self, path_or_file) -> None:
         self._check_lengths(("snapshot_iters", "snapshots"))
@@ -482,20 +487,28 @@ class _Phase:
         self.alpha_mu = config.alpha * mu
 
 
-def _advance(nlp, X, Lam, it, phase, streams, active, box):
+def _advance(nlp, X, Lam, it, phase, streams, active, every, box, diag, t):
     """One Euler-Maruyama step for a stack of chains, at iteration ``it`` of ``phase``.
 
     ``phase`` is the phase's :class:`_Phase`, whose constants (each
     iteration's sigma, ``alpha / 2``, ``alpha * mu``) were prepared once when
     the phase started; ``streams`` is the chains' :class:`_Streams` and
-    ``box`` the problem's :class:`_Box`.
+    ``box`` the problem's :class:`_Box`. ``active`` marks the chains that
+    step, and ``every`` says that all of them do.
 
-    Returns (X', Lam', diag, failures) where diag holds the pre-step cost,
-    ``hsq`` and energy, and failures maps chain index -> error message for
-    chains that died this iteration. Inactive chains are left untouched and
-    draw no noise. One finiteness test of the whole drift decides the common
-    case; per-chain masks are formed only when it fails. While every chain
-    steps, the noise is one all-chain read, added in place.
+    ``diag`` holds the batch's ``(T, N)`` cost, ``hsq`` and ``||v||^2``
+    buffers: the kernel writes the pre-step cost, ``hsq = ||h||^2`` and
+    ``||v||^2`` into their row ``t``, and the caller forms the energy
+    ``1/2 ||v||^2 + 1/2 hsq`` from the last two once per batch. Returns
+    (X', Lam', failures), where failures maps chain index -> error message
+    for chains that died this iteration. Inactive chains are left untouched
+    and draw no noise.
+
+    The common case is straight-line: one finiteness test of the whole
+    drift and, with a barrier, one interiority test of the whole step decide
+    it, and per-chain masks are formed only when one of them fails or a
+    chain is inactive. While every chain steps, the noise is one all-chain
+    read, added in place.
 
     A step that leaves the finite bounds is retried at half the time step,
     up to ``_MAX_RETRIES`` halvings. The retries run one halving level at a
@@ -510,8 +523,9 @@ def _advance(nlp, X, Lam, it, phase, streams, active, box):
     """
     sigma = phase.sigma[it]
     c, h, v, g = _drift(nlp, X, Lam, phase.mu, phase.beta, box)
-    hsq = (h * h).sum(axis=-1)
-    diag = {"cost": c, "hsq": hsq, "energy": 0.5 * (v * v).sum(axis=-1) + 0.5 * hsq}
+    diag[0][t] = c
+    (h * h).sum(axis=-1, out=diag[1][t])
+    (v * v).sum(axis=-1, out=diag[2][t])
 
     failures = {}
     ok = active
@@ -520,8 +534,8 @@ def _advance(nlp, X, Lam, it, phase, streams, active, box):
         for j in (active & bad).nonzero()[0]:
             failures[int(j)] = f"non-finite drift at iteration {it}"
         ok = active & ~bad
+        every = False
         g = np.where(bad[:, None], 0.0, g)  # their step is discarded; with g, inf - inf would warn
-    every = ok.all()
 
     Xc = X - phase.half_alpha * g
     if sigma > 0:
@@ -533,31 +547,33 @@ def _advance(nlp, X, Lam, it, phase, streams, active, box):
             Xc[idx] += scale * streams.draw(idx)
 
     if phase.beta > 0:
-        outside = (ok & ~_interior(Xc, box)).nonzero()[0]
-        for r in range(1, _MAX_RETRIES + 1):
-            if not outside.size:
-                break
-            scale = 0.5**r
-            cand = X[outside] - phase.half_alpha * scale * g[outside]
-            if sigma > 0:
-                cand = cand + sigma * math.sqrt(phase.alpha * scale) * streams.draw(outside)
-            inside = _interior(cand, box)
-            Xc[outside[inside]] = cand[inside]
-            outside = outside[~inside]
-        if outside.size:
-            for j in outside:
-                failures[int(j)] = (
-                    f"barrier-domain violation persisted through {_MAX_RETRIES} "
-                    f"halved retries at iteration {it}"
-                )
-            ok = ok.copy()
-            ok[outside] = False
-            every = False
+        inside = _interior(Xc, box)
+        if not inside.all():
+            outside = (ok & ~inside).nonzero()[0]
+            for r in range(1, _MAX_RETRIES + 1):
+                if not outside.size:
+                    break
+                scale = 0.5**r
+                cand = X[outside] - phase.half_alpha * scale * g[outside]
+                if sigma > 0:
+                    cand = cand + sigma * math.sqrt(phase.alpha * scale) * streams.draw(outside)
+                inside = _interior(cand, box)
+                Xc[outside[inside]] = cand[inside]
+                outside = outside[~inside]
+            if outside.size:
+                for j in outside:
+                    failures[int(j)] = (
+                        f"barrier-domain violation persisted through {_MAX_RETRIES} "
+                        f"halved retries at iteration {it}"
+                    )
+                ok = ok.copy()
+                ok[outside] = False
+                every = False
 
     Lamn = Lam + phase.alpha_mu * h
     if every:
-        return Xc, Lamn, diag, failures
-    return np.where(ok[:, None], Xc, X), np.where(ok[:, None], Lamn, Lam), diag, failures
+        return Xc, Lamn, failures
+    return np.where(ok[:, None], Xc, X), np.where(ok[:, None], Lamn, Lam), failures
 
 
 def _schedules(config, N):
@@ -596,6 +612,24 @@ def _schedules(config, N):
     return scheds, np.array(seeds, dtype=object)
 
 
+# Rows of the energy formed per operation: the pass then needs one temporary
+# of this many rows, not one the size of a (T, N) buffer
+_ENERGY_ROWS = 1024
+
+
+def _form_energy(vv, hsq):
+    """Turn the ``||v||^2`` rows ``vv`` into the energy ``0.5 * vv + 0.5 * hsq`` in place.
+
+    The same elementwise operations as on one row, so each entry has the
+    bytes of ``0.5 * (v * v).sum(-1) + 0.5 * (h * h).sum(-1)`` at its point,
+    a non-finite one included.
+    """
+    for a in range(0, len(vv), _ENERGY_ROWS):
+        e = vv[a : a + _ENERGY_ROWS]
+        e *= 0.5
+        e += 0.5 * hsq[a : a + _ENERGY_ROWS]
+
+
 def _run_chains(nlp, box, X0, Lam0, scheds, seeds):
     """Iterate the kernel through every phase for a stack of chains, recording traces.
 
@@ -612,12 +646,16 @@ def _run_chains(nlp, box, X0, Lam0, scheds, seeds):
     once however many traces are written, and its ``snapshot_iters`` a
     read-only prefix of one array. Writing into them raises.
 
-    The kernel writes each iteration's cost, ``hsq`` and energy as one row
-    of a ``(T, N)`` buffer and each snapshot as an ``(N, n)`` slab of one
-    ``(S, N, n)`` buffer. Chain j's trace holds column j of them, cut at its
-    length: its data is stored once, in the batch's buffers. Returns the
-    final ``(N, n)`` and ``(N, m)`` stacks and, per chain, its trace, its
-    error message (None when it ran through) and the phase it ended in.
+    The kernel writes each iteration's cost, ``hsq`` and ``||v||^2`` as one
+    row of a ``(T, N)`` buffer and each snapshot as an ``(N, n)`` slab of one
+    ``(S, N, n)`` buffer. The energy is formed once, when the loop ends,
+    from the ``hsq`` and ``||v||^2`` buffers, in the ``||v||^2`` buffer
+    itself (see :func:`_form_energy`). Chain j's trace holds column j of the
+    buffers, cut at its length: its data is stored once, in the batch's
+    buffers. The kernel is told that every chain steps until the first
+    failure; from then on it forms per-chain masks. Returns the final
+    ``(N, n)`` and ``(N, m)`` stacks and, per chain, its trace, its error
+    message (None when it ran through) and the phase it ended in.
     """
     N, n = X0.shape
     phases = scheds[0]
@@ -626,9 +664,11 @@ def _run_chains(nlp, box, X0, Lam0, scheds, seeds):
     X = np.array(X0, dtype=float)
     Lam = np.array(Lam0, dtype=float)
     active = np.ones(N, dtype=bool)
+    every = True  # no chain has failed
     failed = {}  # chain -> (iterations recorded, message, phase it failed in)
 
-    tr = {k: np.zeros((T, N)) for k in ("cost", "hsq", "energy")}
+    cost, hsq, vv = (np.zeros((T, N)) for _ in range(3))  # vv holds the energy once the loop ends
+    diag = (cost, hsq, vv)
     sigma = np.zeros(T)
     snap_iters = np.concatenate(
         [s + np.arange(0, p.iterations, p.snapshot_stride) for s, p in zip(starts, phases)]
@@ -644,21 +684,20 @@ def _run_chains(nlp, box, X0, Lam0, scheds, seeds):
             if i % config.snapshot_stride == 0:
                 snaps[snapped] = X
                 snapped += 1
-            Xn, Lamn, diag, failures = _advance(nlp, X, Lam, i, phase, streams, active, box)
             t = start + i
-            for key in tr:
-                tr[key][t] = diag[key]
-            X, Lam = Xn, Lamn
+            X, Lam, failures = _advance(nlp, X, Lam, i, phase, streams, active, every, box, diag, t)
             if failures:
                 for j, msg in failures.items():
                     # keep the (valid) pre-step record of the failing iteration
                     failed[j] = (t + 1, msg if len(phases) == 1 else f"phase {k}: {msg}", scheds[j][k])
                     active[j] = False
+                every = False
                 if not active.any():
                     break
         del streams  # the phase's noise block goes before the next phase's is made
         if not active.any():
             break
+    _form_energy(vv, hsq)
 
     columns = _BatchColumns(np.arange(T), sigma)
     iters, sigma = columns.arrays["iters"], columns.arrays["sigma"]
@@ -669,9 +708,9 @@ def _run_chains(nlp, box, X0, Lam0, scheds, seeds):
         S_j = int(np.searchsorted(snap_iters, T_j))  # the snapshots taken below T_j
         trace = Trace(
             iters=iters[:T_j],
-            cost=tr["cost"][:T_j, j],
-            hsq=tr["hsq"][:T_j, j],
-            energy=tr["energy"][:T_j, j],
+            cost=cost[:T_j, j],
+            hsq=hsq[:T_j, j],
+            energy=vv[:T_j, j],
             sigma=sigma[:T_j],
             snapshot_iters=snap_iters[:S_j],
             snapshots=snaps[:S_j, j],

@@ -171,6 +171,19 @@ class TestTraceWriters:
                 write(tmp_path / "t.csv")  # a path is opened and closed
                 assert (tmp_path / "t.csv").read_bytes() == ref(t).encode()
 
+    def test_writer_peak_is_about_its_output(self):
+        (sol,) = solve_batch(toy_kkt_problem(), [np.ones(2)], SolverConfig(iterations=45000))
+        buf = io.StringIO()
+        tracemalloc.start()
+        try:
+            sol.trace.to_csv(buf)  # formats the batch's shared columns too
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert buf.getvalue() == row_by_row_trace_csv(sol.trace)
+        # 3.8 MB of CSV: 256 rows at a time peaked at 5.0 MB; whole columns as Python objects at 14.8 MB
+        assert peak < 9 * 2**20, peak
+
     def test_columns_of_different_lengths_are_rejected(self, tmp_path):
         # 55 iteration rows and 54 sigma rows: no CSV cut to the shorter column, and no file
         v = np.resize(self.SPECIAL, 55)
@@ -284,7 +297,11 @@ class TestDriftAndEnergy:
 
 @pytest.mark.parametrize("problem", ["pendulum", "bugtrap"])
 def test_diagnostics_are_the_kernel_math(problem):
-    """``energy`` and ``drift`` give the bytes the stepping kernel uses at sigma = 0."""
+    """``energy`` and ``drift`` give the bytes the stepping kernel uses and records at sigma = 0.
+
+    The recorded energy is read from the traces :func:`solve_batch` returns:
+    row 0 at the initial point, row k at the point where a k-iteration run ends.
+    """
     bundle = get_problem(problem)
     nlp = bundle.nlp
     rng = np.random.default_rng(4)
@@ -293,13 +310,17 @@ def test_diagnostics_are_the_kernel_math(problem):
     cfg = SolverConfig(sigma0=0.0, sigma_min=0.0, iterations=1)
     mu = np.full((3, 1), cfg.mu)
     box = _Box(nlp.lower, nlp.upper)
-    Xn, _, diag, failures = _advance(nlp, X, Lam, 0, _Phase(cfg, mu), None, np.ones(3, dtype=bool), box)
+    Xn, _, failures = advance(nlp, X, Lam, 0, _Phase(cfg, mu), None, np.ones(3, dtype=bool), box)
     assert not failures
     d = drift(nlp, X, Lam, cfg.mu, cfg.barrier_weight)
     assert (X - 0.5 * cfg.alpha * d).tobytes() == Xn.tobytes()
-    for j in range(3):
-        e = energy(nlp, X[j], Lam[j], cfg.mu)
-        assert np.float64(e).tobytes() == diag["energy"][j].tobytes()
+    k = 3
+    short = solve_batch(nlp, X, dataclasses.replace(cfg, iterations=k), lambda0s=Lam)
+    runs = solve_batch(nlp, X, dataclasses.replace(cfg, iterations=k + 1), lambda0s=Lam)
+    for j, (s, r) in enumerate(zip(short, runs)):
+        assert s.success and r.success
+        assert np.float64(energy(nlp, X[j], Lam[j], cfg.mu)).tobytes() == r.trace.energy[0].tobytes()
+        assert np.float64(energy(nlp, s.xbar, s.lam, cfg.mu)).tobytes() == r.trace.energy[k].tobytes()
 
 
 class TestBarrier:
@@ -321,13 +342,18 @@ class TestBarrier:
             barrier_gradient(np.array([-2.0]), np.array([-1.0]), np.array([1.0]))
 
 
+def advance(nlp, X, Lam, it, phase, streams, active, box):
+    """``_advance`` as ``_run_chains`` calls it, told whether every chain steps, recording into a scratch row."""
+    return _advance(nlp, X, Lam, it, phase, streams, active, bool(active.all()), box, np.empty((3, 1, len(X))), 0)
+
+
 def one_step(nlp, x, lam, cfg, rng):
     """One kernel iteration of a single chain: its new point and multipliers."""
     X, Lam = np.asarray(x, dtype=float)[None], np.asarray(lam, dtype=float)[None]
     mu = np.full((1, 1), cfg.mu)
     streams = _Streams([rng], nlp.n)
     box = _Box(nlp.lower, nlp.upper)
-    Xn, Lamn, _, failures = _advance(nlp, X, Lam, 0, _Phase(cfg, mu), streams, np.ones(1, dtype=bool), box)
+    Xn, Lamn, failures = advance(nlp, X, Lam, 0, _Phase(cfg, mu), streams, np.ones(1, dtype=bool), box)
     assert not failures
     return Xn[0], Lamn[0]
 
@@ -547,7 +573,7 @@ class TestAdvance:
         all_failures = {}
         for it in range(5):
             Xr, Lamr, fr, draws = reference_advance(nlp, X, Lam, it, cfg, ref_rngs, active.copy())
-            Xn, Lamn, _, failures = _advance(nlp, X, Lam, it, _Phase(cfg, mu), streams, active.copy(), box)
+            Xn, Lamn, failures = advance(nlp, X, Lam, it, _Phase(cfg, mu), streams, active.copy(), box)
             assert Xn.tobytes() == Xr.tobytes()
             assert Lamn.tobytes() == Lamr.tobytes()
             assert failures == fr
@@ -579,7 +605,7 @@ class TestAdvance:
         Xr, Lamr, fr, draws = reference_advance(nlp, X, Lam, 0, cfg, ref_rngs, active.copy())
         mu = np.full((N, 1), cfg.mu)
         streams = _Streams(rngs, n)
-        Xn, Lamn, _, failures = _advance(
+        Xn, Lamn, failures = advance(
             nlp, X, Lam, 0, _Phase(cfg, mu), streams, active.copy(), _Box(nlp.lower, nlp.upper)
         )
         assert draws[1] > 1 and 1 not in fr
@@ -647,7 +673,7 @@ class TestGappedBounds:
         retried = np.zeros(N, dtype=bool)
         for it in range(6):
             Xr, Lamr, fr, draws = reference_advance(nlp, X, Lam, it, cfg, ref_rngs, active.copy())
-            Xn, Lamn, _, failures = _advance(nlp, X, Lam, it, _Phase(cfg, mu), streams, active.copy(), box)
+            Xn, Lamn, failures = advance(nlp, X, Lam, it, _Phase(cfg, mu), streams, active.copy(), box)
             assert Xn.tobytes() == Xr.tobytes()
             assert Lamn.tobytes() == Lamr.tobytes()
             assert failures == fr
@@ -666,7 +692,7 @@ class TestGappedBounds:
         active, mu, box = np.ones(1, dtype=bool), np.full((1, 1), cfg.mu), _Box(nlp.lower, nlp.upper)
         with np.errstate(over="ignore"):  # the cost overflows too; the kernel does not step on it
             Xr, _, fr, draws = reference_advance(nlp, X, Lam, 0, cfg, [np.random.default_rng(0)], active)
-            Xn, _, _, failures = _advance(nlp, X, Lam, 0, _Phase(cfg, mu), None, active, box)
+            Xn, _, failures = advance(nlp, X, Lam, 0, _Phase(cfg, mu), None, active, box)
         assert draws[0] > 1 and not fr and not failures
         assert Xn.tobytes() == Xr.tobytes() and np.all(np.isfinite(Xn))
 
@@ -679,7 +705,7 @@ class TestGappedBounds:
         cfg = SolverConfig(sigma0=0.0, sigma_min=0.0, iterations=1)
         mu = np.full((2, 1), cfg.mu)
         box = _Box(nlp.lower, nlp.upper)
-        Xn = _advance(nlp, X, Lam, 0, _Phase(cfg, mu), None, np.ones(2, dtype=bool), box)[0]
+        Xn = advance(nlp, X, Lam, 0, _Phase(cfg, mu), None, np.ones(2, dtype=bool), box)[0]
         h, vjp = nlp.constraints_with_vjp(X)
         _, cg = nlp.cost_and_gradient(X)
         v = cg + vjp(Lam + cfg.mu * h)
@@ -1244,6 +1270,54 @@ class TestFailureIsolation:
         assert not sol.success and sol.message == f"non-finite drift at iteration {it}"
         assert len(sol.trace) == it + 1
         assert sol.trace.hsq.tobytes() == clean[victim].trace.hsq[: it + 1].tobytes()
+
+    def test_a_failure_mid_phase_leaves_the_fast_path_bytes(self):
+        """A chain fails after iterations on the all-chain path: the batch equals each chain's solo run.
+
+        The failed chain's drift is NaN at one iteration only, so a kernel
+        that went on stepping it as if every chain were active would move
+        its final point.
+        """
+        nlp = toy_kkt_problem()
+        cfg = SolverConfig(iterations=40, sigma0=0.5, seed=11, snapshot_stride=1)
+        x0s = [np.array([1.0, -0.5]), np.array([2.0, 0.3]), np.array([-1.5, 0.5]), np.array([0.2, 0.9])]
+        victim, it = 2, 15
+        oracle = nlp.cost_and_gradient
+
+        def poisoned(row):
+            """``nlp`` with a NaN gradient for stack row ``row`` at call ``it``, one call per iteration."""
+            calls = []
+
+            def cost_and_gradient(X):
+                c, g = oracle(X)
+                if len(calls) == it:
+                    g = g.copy()
+                    g[row] = np.nan
+                calls.append(None)
+                return c, g
+
+            return dataclasses.replace(nlp, cost_and_gradient=cost_and_gradient)
+
+        sols = solve_batch(poisoned(victim), x0s, cfg)
+        solos = [
+            solve_batch(poisoned(0) if j == victim else nlp, [x0], dataclasses.replace(cfg, seed=cfg.seed + j))[0]
+            for j, x0 in enumerate(x0s)
+        ]
+        assert [s.success for s in sols] == [s.success for s in solos] == [True, True, False, True]
+        for sol, ref in zip(sols, solos):
+            assert len(sol.trace) == len(ref.trace)
+            for name in ("cost", "hsq", "energy", "snapshots"):
+                assert getattr(sol.trace, name).tobytes() == getattr(ref.trace, name).tobytes(), name
+            assert sol.xbar.tobytes() == ref.xbar.tobytes() and sol.lam.tobytes() == ref.lam.tobytes()
+        failed = sols[victim]
+        assert failed.message == f"non-finite drift at iteration {it}" and len(failed.trace) == it + 1
+        # its last row is the failing iteration's pre-step record: finite cost and hsq, the NaN drift's energy
+        assert np.isfinite(failed.trace.hsq).all() and np.isnan(failed.trace.energy[it])
+        assert np.isfinite(failed.trace.energy[:it]).all()
+        # up to that row, the columns of a run that does not fail
+        clean = solve_batch(nlp, [x0s[victim]], dataclasses.replace(cfg, seed=cfg.seed + victim))[0]
+        for name in ("cost", "hsq", "energy"):
+            assert getattr(failed.trace, name)[:it].tobytes() == getattr(clean.trace, name)[:it].tobytes()
 
 
 def reachable_strings(ignore):

@@ -50,3 +50,25 @@ def test_batch_memory_reports_a_tiny_batch():
     assert report["peak_rss_mb"] >= report["rss_before_mb"] > 0
     assert report["rise_mb"] == pytest.approx(report["peak_rss_mb"] - report["rss_before_mb"])
     assert report["wall_s"] > 0
+
+
+def _in_git_checkout():
+    root = Path(__file__).resolve().parents[1]
+    try:
+        subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, check=True, capture_output=True)
+    except (OSError, subprocess.CalledProcessError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="exports HEAD's package with git archive")
+def test_kernel_ab_head_against_the_working_tree():
+    # HEAD's package against the working tree's: their bytes are equal unless an uncommitted edit changes them
+    tool = Path(__file__).resolve().parents[1] / "tools" / "kernel_ab.py"
+    args = ["HEAD", "--chains", "3", "--iters", "40", "--pairs", "2"]
+    out = subprocess.run([sys.executable, str(tool), *args], capture_output=True, text=True, check=True).stdout
+    report = json.loads(out)
+    assert (report["problem"], report["chains"], report["iters"], report["pairs"]) == ("toy_kkt", 3, 40, 2)
+    assert report["digests_equal"] == {"trace": True, "snapshots": True, "xbar": True}
+    assert report["ratio"] > 0 and 0 <= report["wins"] <= 2
+    assert report["base_ms"] > 0 and report["change_ms"] > 0

@@ -33,10 +33,10 @@ def git(*args, cwd):
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True).stdout
 
 
-def export(ref, root, dest):
-    """Write the tree of ``ref`` into ``dest``."""
+def export(ref, root, dest, *paths):
+    """Write the tree of ``ref`` into ``dest``: all of it, or only ``paths`` when given."""
     archive = Path(dest) / "tree.tar"
-    archive.write_bytes(git("archive", "--format=tar", ref, cwd=root))
+    archive.write_bytes(git("archive", "--format=tar", ref, *paths, cwd=root))
     with tarfile.open(archive) as tar:
         tar.extractall(dest, filter="data")
     archive.unlink()
