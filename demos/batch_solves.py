@@ -15,7 +15,7 @@ from langopt.problems import get_problem
 N = 16
 
 bundle = get_problem("pendulum")
-guesses = [bundle.guess(np.random.default_rng([s, 0xA5])) for s in range(N)]
+guesses = bundle.guesses(N)
 
 t0 = time.perf_counter()
 sols = solve_batch(bundle.nlp, guesses, SolverConfig(seed=0))

@@ -42,7 +42,7 @@ def describe(p):
     return f"escaped, {d:.2f} from goal" + (" (reached)" if d <= 0.5 else "")
 
 
-guesses = [bundle.guess(np.random.default_rng([s, 0xA5])) for s in range(N_SEEDS)]
+guesses = bundle.guesses(N_SEEDS)
 
 print(f"goal at {tuple(goal)}, trap box x:[{box[0,0]:.1f},{box[0,1]:.1f}] "
       f"y:[{box[1,0]:.1f},{box[1,1]:.1f}]\n")

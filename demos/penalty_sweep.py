@@ -12,15 +12,13 @@ Writes sweep rows to penalty_sweep.csv (mu,iter,hsq).
 
 from dataclasses import replace
 
-import numpy as np
-
 from langopt import solve_batch
 from langopt.problems import get_problem
 
 MUS = (0.01, 0.1, 1.0, 10.0)
 
 bundle = get_problem("pendulum")
-x0 = bundle.guess(np.random.default_rng([0, 0xA5]))
+(x0,) = bundle.guesses(1)
 
 # one batch, one chain per mu: chain j runs the schedule with mu = MUS[j]
 scheds = [[replace(p, mu=mu) for p in bundle.phases] for mu in MUS]

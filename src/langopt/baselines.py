@@ -19,11 +19,11 @@ import numpy as np
 from . import autodiff as ad
 from .nlp import NlpProblem
 from .solver import (
-    BarrierDomainError,
     SolverConfig,
     Solution,
     Trace,
     _Box,
+    _initial_points,
     _interior,
     barrier_gradient,
     barrier_value,
@@ -78,16 +78,14 @@ def bfgs_penalty(
     Reads ``mu``, ``barrier_weight`` (beta), ``iterations`` and
     ``snapshot_stride`` of ``config``, and stops early once the merit
     gradient norm reaches ``_GRAD_TOL``. The Solution records ``config``
-    with its noise zeroed.
+    with its noise zeroed. ``x0`` is checked as :func:`solve` checks it.
     """
     config = _noise_free(config)
     mu = config.mu
     beta = config.barrier_weight
-    x = np.asarray(x0, dtype=float).copy()
+    (x,) = _initial_points(nlp, [x0], beta, alone=True)
     n = x.size
     box = _Box(nlp.lower, nlp.upper)
-    if beta > 0 and not _interior(x[None], box)[0]:
-        raise BarrierDomainError("x0 must be strictly interior to finite bounds")
 
     t0 = time.perf_counter()
     H = np.eye(n)

@@ -23,8 +23,6 @@ import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .baselines import _noise_free, bfgs_penalty
 from .problems import PROBLEMS, get_problem
 from .solver import SolverConfig, _check_int, solve_batch
@@ -123,120 +121,96 @@ def _with_keys(config, cfg: dict):
     return replace(config, **kwargs)
 
 
-def _guesses(bundle, n, seed):
-    # guess RNG is decoupled from the chains' noise streams
-    return [bundle.guess(np.random.default_rng([int(seed) + i, 0xA5])) for i in range(n)]
-
-
 def _run_solver(bundle, cfg: dict, x0s, mus=None):
     """The configs run (the bundle's schedule, or one noise-free config) and each chain's Solution.
 
     The diffusion phases' seeds are offset by ``seed``; the baselines run
     ``SolverConfig()`` with the keys applied and the noise zeroed. With
     ``mus`` (a sweep), chain j runs at penalty ``mus[j]``. Diffusion and gd
-    run as one batch.
+    run as one batch, bfgs chain by chain.
     """
-    nlp, threads = bundle.nlp, cfg["threads"]
     if cfg["solver"] == "diffusion":
         phases = [replace(_with_keys(p, cfg), seed=p.seed + cfg["seed"]) for p in bundle.phases]
-        scheds = phases if mus is None else [[replace(p, mu=mu) for p in phases] for mu in mus]
-        return phases, solve_batch(nlp, x0s, scheds, threads=threads)
-    sc = _noise_free(_with_keys(SolverConfig(), cfg))
-    scs = [sc] * len(x0s) if mus is None else [replace(sc, mu=mu) for mu in mus]
-    if cfg["solver"] == "gd":
-        return [sc], solve_batch(nlp, x0s, [[c] for c in scs], threads=threads)
-    return [sc], [bfgs_penalty(nlp, x0, c) for x0, c in zip(x0s, scs)]
+    else:
+        phases = [_noise_free(_with_keys(SolverConfig(), cfg))]
+    scheds = phases if mus is None else [[replace(p, mu=mu) for p in phases] for mu in mus]
+    if cfg["solver"] != "bfgs":
+        return phases, solve_batch(bundle.nlp, x0s, scheds, threads=cfg["threads"])
+    # bfgs runs one phase: the noise-free config
+    configs = phases * len(x0s) if mus is None else [s[0] for s in scheds]
+    return phases, [bfgs_penalty(bundle.nlp, x0, c) for x0, c in zip(x0s, configs)]
 
 
-def _validate(cfg: dict) -> None:
+def _validate(cfg: dict, sweep: bool) -> list | None:
+    """Reject a bad key, naming it; returns the sweep's penalty values (None for ``run``)."""
     if cfg.get("problem") not in PROBLEMS:
         raise ValueError(f"unknown problem {cfg.get('problem')!r}; valid problems: {sorted(PROBLEMS)}")
     if cfg["solver"] not in SOLVERS:
         raise ValueError(f"unknown solver {cfg['solver']!r}; valid solvers: {list(SOLVERS)}")
     if int(cfg["batch"]) < 1:
         raise ValueError("batch size must be at least 1")
-    _check_int("seed", cfg["seed"], 0)  # before the guesses are drawn from it
     _check_int("threads", cfg["threads"], 1)  # bfgs never reaches solve_batch's own check
-
-
-def _exit_code(sols) -> int:
-    """0 when every chain completed; otherwise 2, said on stderr once the outputs are written."""
-    if all(sol.success for sol in sols):
-        return 0
-    print("some chains failed; partial outputs retained", file=sys.stderr)
-    return 2
-
-
-def cmd_run(args) -> int:
-    cfg = _merge_config(args)
-    _validate(cfg)
-    if cfg.get("mus") is not None:
-        raise ValueError("mus is a sweep key; run takes one mu (use --mu or the 'mu' key)")
-    bundle = get_problem(cfg["problem"])
-    n = int(cfg["batch"])
-    x0s = _guesses(bundle, n, cfg["seed"])
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-
-    t0 = time.perf_counter()
-    configs, sols = _run_solver(bundle, cfg, x0s)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-
-    for i, sol in enumerate(sols):
-        sol.trace.to_csv(out / f"trace_{i}.csv")
-        sol.trace.snapshots_to_csv(out / f"snapshots_{i}.csv")
-    summary = {
-        "problem": cfg["problem"],
-        "solver": cfg["solver"],
-        "batch": n,
-        "phases": [asdict(c) for c in configs],
-        "wall_ms": wall_ms,
-        "timing_note": "wall-clock times are hardware-dependent and not an acceptance criterion",
-        "chains": [sol.summary() for sol in sols],
-    }
-    with open(out / "summary.json", "w") as f:
-        json.dump(summary, f, indent=2)
-    return _exit_code(sols)
-
-
-def cmd_sweep(args) -> int:
-    cfg = _merge_config(args)
-    _validate(cfg)
+    if not sweep:
+        if cfg.get("mus") is not None:
+            raise ValueError("mus is a sweep key; run takes one mu (use --mu or the 'mu' key)")
+        return None
     mus = _mus(cfg.get("mus"))
     if not mus:
         raise ValueError("sweep requires a non-empty --mus list")
     if int(cfg["batch"]) != 1:
         raise ValueError(f"sweep runs one chain per mu; batch must be 1, got {cfg['batch']}")
+    return mus
+
+
+def cmd(args) -> int:
+    """Run command ``args.command`` (``run`` or ``sweep``), write its outputs and return the exit code.
+
+    The code is 0 when every chain completed, else 2, said on stderr once
+    the outputs are written.
+    """
+    cfg = _merge_config(args)
+    mus = _validate(cfg, args.command == "sweep")
     bundle = get_problem(cfg["problem"])
-    x0 = _guesses(bundle, 1, cfg["seed"])[0]  # shared across all mu values
+    if mus is None:
+        x0s = bundle.guesses(cfg["batch"], cfg["seed"])
+    else:
+        x0s = bundle.guesses(1, cfg["seed"]) * len(mus)  # one guess shared across all mu values
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    sols = _run_solver(bundle, cfg, [x0] * len(mus), mus)[1]
+    configs, sols = _run_solver(bundle, cfg, x0s, mus)
     wall_ms = (time.perf_counter() - t0) * 1e3
 
-    for sol in sols:
-        sol.trace._check_lengths(("iters", "hsq"))
-    with open(out / "sweep.csv", "w") as f:
-        f.write("mu,iter,hsq\n")
-        for mu, sol in zip(mus, sols):
-            # 256 rows at a time; a batch's iters are formatted once
-            for its, hsqs in zip(sol.trace._blocks("iters"), sol.trace._blocks("hsq")):
-                f.writelines(f"{mu!r},{it},{hsq}\n" for it, hsq in zip(its, hsqs))
+    if mus is None:
+        for i, sol in enumerate(sols):
+            sol.trace.to_csv(out / f"trace_{i}.csv")
+            sol.trace.snapshots_to_csv(out / f"snapshots_{i}.csv")
+        keys = {
+            "batch": len(sols),
+            "phases": [asdict(c) for c in configs],
+            "wall_ms": wall_ms,
+            "timing_note": "wall-clock times are hardware-dependent and not an acceptance criterion",
+            "chains": [sol.summary() for sol in sols],
+        }
+    else:
+        for sol in sols:  # no sweep.csv unless every trace is whole
+            sol.trace._check_lengths(("iters", "hsq"))
+        with open(out / "sweep.csv", "w") as f:
+            f.write("mu,iter,hsq\n")
+            for mu, sol in zip(mus, sols):
+                sol.trace._write_rows(f, ("iters", "hsq"), repr(mu))
+        keys = {
+            "mus": mus,
+            "wall_ms": wall_ms,
+            "chains": [{"mu": mu, **sol.summary()} for mu, sol in zip(mus, sols)],
+        }
     with open(out / "summary.json", "w") as f:
-        json.dump(
-            {
-                "problem": cfg["problem"],
-                "solver": cfg["solver"],
-                "mus": mus,
-                "wall_ms": wall_ms,
-                "chains": [{"mu": mu, **sol.summary()} for mu, sol in zip(mus, sols)],
-            },
-            f,
-            indent=2,
-        )
-    return _exit_code(sols)
+        json.dump({"problem": cfg["problem"], "solver": cfg["solver"], **keys}, f, indent=2)
+    if all(sol.success for sol in sols):
+        return 0
+    print("some chains failed; partial outputs retained", file=sys.stderr)
+    return 2
 
 
 def main(argv=None) -> int:
@@ -245,9 +219,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a bad flag, but 2 here means a chain failed
         return 1 if exc.code else 0
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        return cmd_sweep(args)
+        return cmd(args)
     except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .nlp import NlpProblem, OcpDefinition, transcribe
-from .solver import SolverConfig, trajectory_guess
+from .solver import SolverConfig, _check_int, trajectory_guess
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +506,17 @@ class ProblemBundle:
     ocp: Optional[OcpDefinition]
     guess: Callable  # rng -> x0
     phases: Tuple[SolverConfig, ...]
+
+    def guesses(self, n, seed=0):
+        """``n`` initial points, point i drawn by ``guess`` from ``default_rng([seed + i, 0xA5])``.
+
+        The generators are apart from any chain's noise stream. ``n`` and
+        ``seed`` are integers of at least 0; anything else raises a
+        ValueError naming it.
+        """
+        _check_int("n", n, 0)
+        _check_int("seed", seed, 0)
+        return [self.guess(np.random.default_rng([seed + i, 0xA5])) for i in range(n)]
 
 
 def _pendulum_bundle() -> ProblemBundle:

@@ -125,13 +125,8 @@ def _writable(path_or_file):
         yield path_or_file
 
 
-def _reprs(column, type_=float):
-    """The reprs of a column's entries as Python ``type_`` values, converted as one array."""
-    return map(repr, np.asarray(column).astype(type_).tolist())
-
-
 # the type each Trace column is written as; the rest are floats
-_COLUMN_TYPES = {"iters": int}
+_COLUMN_TYPES = {"iters": int, "snapshot_iters": int}
 
 # Trace rows formatted and joined per write: a write per row takes about twice
 # as long, and formatting a whole column at once holds it as Python objects
@@ -139,8 +134,15 @@ _WRITE_ROWS = 256
 
 
 def _repr_blocks(column, type_=float):
-    """The reprs of ``column``'s entries, ``_WRITE_ROWS`` rows at a time."""
-    return (_reprs(column[a : a + _WRITE_ROWS], type_) for a in range(0, len(column), _WRITE_ROWS))
+    """The reprs of ``column``'s entries as Python ``type_`` values, ``_WRITE_ROWS`` rows at a time.
+
+    Each block is converted as one array. An entry that is a row (a 2-D
+    column, such as the snapshots) is its values' reprs joined by commas.
+    """
+    rows = np.ndim(column) == 2
+    for a in range(0, len(column), _WRITE_ROWS):
+        values = np.asarray(column[a : a + _WRITE_ROWS]).astype(type_).tolist()
+        yield (",".join(map(repr, row)) for row in values) if rows else map(repr, values)
 
 
 class _BatchColumns:
@@ -229,22 +231,32 @@ class Trace:
         shared = None if self._columns is None else self._columns.blocks(name, column)
         return _repr_blocks(column, _COLUMN_TYPES.get(name, float)) if shared is None else shared
 
+    def _write_rows(self, f, names, lead=None):
+        """Write columns ``names`` to ``f`` as CSV rows, one write per ``_WRITE_ROWS`` rows.
+
+        ``lead``, a string, is written as each row's first field. The caller
+        checks the columns' lengths first (:meth:`_check_lengths`).
+        """
+        head = "" if lead is None else lead + ","
+        for block in zip(*(self._blocks(k) for k in names)):
+            f.write(head + ("\n" + head).join(map(",".join, zip(*block))) + "\n")
+
     def to_csv(self, path_or_file) -> None:
         """Write the trace with header ``iter,cost,hsq,energy,sigma``."""
         names = ("iters", "cost", "hsq", "energy", "sigma")
         self._check_lengths(names)
         with _writable(path_or_file) as f:
             f.write("iter,cost,hsq,energy,sigma\n")
-            for block in zip(*(self._blocks(k) for k in names)):
-                f.write("\n".join(map(",".join, zip(*block))) + "\n")
+            self._write_rows(f, names)
 
     def snapshots_to_csv(self, path_or_file) -> None:
-        self._check_lengths(("snapshot_iters", "snapshots"))
+        """Write the snapshots with header ``iter,v0,v1,...``, one row per snapshot."""
+        names = ("snapshot_iters", "snapshots")
+        self._check_lengths(names)
         with _writable(path_or_file) as f:
             ncols = self.snapshots.shape[1] if self.snapshots.size else 0
             f.write("iter," + ",".join(f"v{j}" for j in range(ncols)) + "\n")
-            rows = (",".join(map(repr, r)) for r in np.asarray(self.snapshots, dtype=float).tolist())
-            f.writelines(f"{it},{row}\n" for it, row in zip(_reprs(self.snapshot_iters, int), rows))
+            self._write_rows(f, names)
 
 
 @dataclass
@@ -418,6 +430,17 @@ class _Streams:
     them all, and an all-chain read is the basic slice ``blocks[:, p]``. The
     first read of a subset copies that cursor into per-chain cursors, which
     every read uses from then on.
+
+    Measured traffic: ``draw`` calls on the benchmark's seed-0 inputs (the
+    first repetition), as all-chain reads on the shared cursor / all-chain
+    reads on per-chain cursors / subset reads (retries), were 55 / 445 / 351
+    on swingup (500 anneal iterations), 6 / 594 / 2294 on trap (600
+    iterations) and 1500 / 0 / 0 on kkt-cli (1500 iterations). So on a
+    bounded problem the first retry of a phase moves every later read to the
+    per-chain cursors, and only the unbounded toy KKT keeps the shared one
+    throughout. There the shared cursor made a solve of 16 chains x 1500
+    iterations 1.24x faster than per-chain cursors from the first read
+    (median of 30 alternating in-process pairs, faster in 29; equal bytes).
 
     The ``(N, _BLOCK_ROWS, n)`` blocks are allocated at the first read, so
     streams that are never read (a σ = 0 phase) hold none, and they live as
@@ -737,6 +760,32 @@ def _stack_entries(name, entries, shape):
     return out
 
 
+def _initial_points(nlp, x0s, barrier_weight, alone=False):
+    """The initial points ``x0s`` as an ``(N, nlp.n)`` stack, checked before any step.
+
+    A point of the wrong shape raises a ValueError. With a barrier
+    (``barrier_weight > 0``), a point with a non-finite entry, or one not
+    strictly inside the finite bounds, raises a BarrierDomainError. Each
+    message names the first bad point: ``x0s[j]``, or ``x0`` when ``alone``
+    (``x0s`` then holds the one point a caller was given).
+    """
+    if alone:
+        X0 = np.array(x0s[0], dtype=float)[None]
+        if X0.shape != (1, nlp.n):
+            raise ValueError(f"x0 has shape {X0.shape[1:]}, expected ({nlp.n},)")
+    else:
+        X0 = _stack_entries("x0s", x0s, (len(x0s), nlp.n))
+    if barrier_weight > 0:
+        inside = _interior(X0, _Box(nlp.lower, nlp.upper))
+        if not inside.all():
+            j = int(np.nonzero(~inside)[0][0])
+            name = "x0" if alone else f"x0s[{j}]"
+            if not np.isfinite(X0[j]).all():
+                raise BarrierDomainError(f"{name} has a non-finite entry")
+            raise BarrierDomainError(f"{name} is not strictly interior to finite bounds")
+    return X0
+
+
 def solve(
     nlp: NlpProblem,
     x0: np.ndarray,
@@ -747,8 +796,11 @@ def solve(
 
     Deterministic given the seeds. Equals ``solve_batch(nlp, [x0], config,
     lambda0s=[lambda0])[0]``, except that a failed chain raises
-    :class:`SolveError` with that Solution attached.
+    :class:`SolveError` with that Solution attached, and that a bad ``x0``
+    is named ``x0``.
     """
+    scheds, _ = _schedules(config, 1)
+    _initial_points(nlp, [x0], scheds[0][0].barrier_weight, alone=True)
     (sol,) = solve_batch(nlp, [x0], config, lambda0s=None if lambda0 is None else [lambda0])
     if not sol.success:
         raise SolveError(sol.message, solution=sol)
@@ -797,17 +849,10 @@ def solve_batch(
     x0s = list(x0s)
     if not x0s:
         raise ValueError("x0s is empty: a batch needs at least one initial point")
-    X0 = _stack_entries("x0s", x0s, (len(x0s), nlp.n))
-    N = X0.shape[0]
+    N = len(x0s)
     scheds, seeds = _schedules(config, N)
+    X0 = _initial_points(nlp, x0s, scheds[0][0].barrier_weight)
     box = _Box(nlp.lower, nlp.upper)
-    if scheds[0][0].barrier_weight > 0:
-        inside = _interior(X0, box)
-        if not inside.all():
-            j = int(np.nonzero(~inside)[0][0])
-            if not np.isfinite(X0[j]).all():
-                raise BarrierDomainError(f"x0s[{j}] has a non-finite entry")
-            raise BarrierDomainError(f"x0s[{j}] is not strictly interior to finite bounds")
     Lam0 = np.zeros((N, nlp.m)) if lambda0s is None else _stack_entries("lambda0s", lambda0s, (N, nlp.m))
 
     t0 = time.perf_counter()

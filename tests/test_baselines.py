@@ -1,17 +1,19 @@
 import io
+import re
 
 import numpy as np
 import pytest
 
 import langopt.autodiff as ad
 from langopt import (
+    BarrierDomainError,
     NlpProblem,
     SolverConfig,
     bfgs_penalty,
     gradient_descent_cdo,
     solve,
 )
-from langopt.problems import toy_kkt_problem
+from langopt.problems import get_problem, toy_kkt_problem
 
 
 def quadratic_bowl(n=4, seed=0):
@@ -146,3 +148,28 @@ class TestBfgsPenalty:
         sol = bfgs_penalty(nlp, np.ones(2), SolverConfig(iterations=20, barrier_weight=0.0))
         assert len(sol.trace.cost) == len(sol.trace.iters)
         assert np.all(sol.trace.sigma == 0.0)
+
+
+def pendulum_x0(entry=None, value=None):
+    """Acceptance guess 0 of the pendulum, with ``x0[entry] = value`` when given."""
+    (x0,) = get_problem("pendulum").guesses(1)
+    if entry is not None:
+        x0[entry] = value
+    return x0
+
+
+@pytest.mark.parametrize("method", [bfgs_penalty, solve, gradient_descent_cdo])
+@pytest.mark.parametrize(
+    "x0, error, message",
+    [
+        (np.zeros(10), ValueError, "x0 has shape (10,), expected (152,)"),
+        (np.zeros((2, 152)), ValueError, "x0 has shape (2, 152), expected (152,)"),
+        (pendulum_x0(60, np.nan), BarrierDomainError, "x0 has a non-finite entry"),
+        (pendulum_x0(0, 5.0), BarrierDomainError, "x0 is not strictly interior to finite bounds"),
+    ],
+    ids=["short", "stacked", "nan", "outside"],
+)
+def test_a_bad_x0_is_named(method, x0, error, message):
+    # the barrier is on (SolverConfig's default barrier_weight); entry 0 is a control in [-1, 1]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        method(get_problem("pendulum").nlp, x0, config=SolverConfig(iterations=5))

@@ -393,3 +393,17 @@ class TestSweep:
         assert [l.split(",")[2] for l in lines[:half]] == [
             l.split(",")[2] for l in lines[half:]
         ]
+
+
+def test_sweep_csv_rows_across_write_blocks(tmp_path, monkeypatch):
+    # 600 rows per mu: each chain's mu-led rows span three 256-row writes
+    runs = []
+    run_solver = langopt.cli._run_solver
+    monkeypatch.setattr(langopt.cli, "_run_solver", lambda *a: runs.append(run_solver(*a)) or runs[-1])
+    out = tmp_path / "sw"
+    assert main(["sweep", "--problem", "toy_kkt", "--out", str(out), "--mus", "0.1,3", "--iters", "600"]) == 0
+    ref = "mu,iter,hsq\n"
+    for mu, sol in zip([0.1, 3.0], runs[0][1]):
+        for it, hsq in zip(sol.trace.iters, sol.trace.hsq):
+            ref += f"{mu!r},{int(it)},{float(hsq)!r}\n"
+    assert (out / "sweep.csv").read_text() == ref

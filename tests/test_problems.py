@@ -338,6 +338,22 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_problem("nosuch")
 
+    @pytest.mark.parametrize("name", ["pendulum", "bugtrap", "toy_kkt"])
+    def test_guesses_are_the_acceptance_recipe(self, name):
+        # the recipe the acceptance tests, `langopt run --seed` and the tools all draw from
+        bundle = get_problem(name)
+        for seed in (0, 13):
+            ref = [bundle.guess(np.random.default_rng([seed + i, 0xA5])) for i in range(4)]
+            got = bundle.guesses(4, seed)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
+        assert [x.tobytes() for x in bundle.guesses(2)] == [x.tobytes() for x in bundle.guesses(2, 0)]
+        assert bundle.guesses(0, 5) == []
+
+    @pytest.mark.parametrize("n, seed, field", [(-1, 0, "n"), (2.0, 0, "n"), (2, -1, "seed"), (2, True, "seed")])
+    def test_guesses_name_a_bad_argument(self, n, seed, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer of at least 0"):
+            get_problem("toy_kkt").guesses(n, seed)
+
 
 class TestOracleOutputs:
     @pytest.mark.parametrize("make_ocp", [pendulum_ocp, bugtrap_ocp])

@@ -32,8 +32,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np  # noqa: E402
-
 from langopt import SolverConfig, solve_batch  # noqa: E402
 from langopt.problems import get_problem  # noqa: E402
 
@@ -53,7 +51,7 @@ def main(argv=None):
     args = p.parse_args(argv)
 
     bundle = get_problem("pendulum")
-    x0s = [bundle.guess(np.random.default_rng([s, 0xA5])) for s in range(args.chains)]
+    x0s = bundle.guesses(args.chains)
     config = SolverConfig(seed=0, iterations=args.iters)
     before = rss_bytes()
     t0 = time.perf_counter()

@@ -6,10 +6,11 @@ Exports ``BASE_REF``'s ``src/langopt`` (``git archive``, into a temporary
 directory) as the package ``langopt_base`` and imports it next to the
 working tree's ``langopt``, so both run in one process on one set of inputs.
 Each side builds the problem with its own ``get_problem``, so a change to a
-problem's oracles is part of what is measured. The inputs are the first
-``CHAINS`` guesses of the acceptance suite (``default_rng([s, 0xA5])``) and
-the first phase of the problem's schedule, cut to ``ITERS`` iterations (its
-``hold`` cut to at most ``ITERS``).
+problem's oracles is part of what is measured. The inputs are the same on
+both sides: the working tree's first ``CHAINS`` guesses
+(``ProblemBundle.guesses``, the acceptance suite's) and the first phase of
+each side's schedule, cut to ``ITERS`` iterations (its ``hold`` cut to at
+most ``ITERS``).
 
 After one untimed call per side, each pair times one ``solve_batch`` call
 per side back to back, and the side that goes first alternates from pair to
@@ -57,14 +58,13 @@ def export_package(ref, dest):
     (Path(dest) / "src" / "langopt").rename(Path(dest) / "langopt_base")
 
 
-def side(package, problem, chains, iters):
-    """A call of ``package``'s ``solve_batch`` on the benchmark inputs, without arguments."""
+def side(package, problem, x0s, iters):
+    """A call of ``package``'s ``solve_batch`` from ``x0s``, without arguments."""
     problems = importlib.import_module(f"{package}.problems")
     solver = importlib.import_module(f"{package}.solver")
     bundle = problems.get_problem(problem)
     first = bundle.phases[0]
     config = dataclasses.replace(first, iterations=iters, hold=min(first.hold, iters))
-    x0s = [bundle.guess(np.random.default_rng([s, 0xA5])) for s in range(chains)]
     return lambda: solver.solve_batch(bundle.nlp, x0s, config)
 
 
@@ -97,8 +97,9 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="kernel-ab-") as tmp:
         export_package(args.base_ref, tmp)
         sys.path[:0] = [str(ROOT / "src"), tmp]
-        base = side("langopt_base", args.problem, args.chains, args.iters)
-        change = side("langopt", args.problem, args.chains, args.iters)
+        x0s = importlib.import_module("langopt.problems").get_problem(args.problem).guesses(args.chains)
+        base = side("langopt_base", args.problem, x0s, args.iters)
+        change = side("langopt", args.problem, x0s, args.iters)
         same = {k: a == b for (k, a), b in zip(digests(base()).items(), digests(change()).values())}
         calls = {"base": base, "change": change}
         times = {"base": [], "change": []}
