@@ -79,6 +79,10 @@ def bfgs_penalty(
     ``snapshot_stride`` of ``config``, and stops early once the merit
     gradient norm reaches ``_GRAD_TOL``. The Solution records ``config``
     with its noise zeroed. ``x0`` is checked as :func:`solve` checks it.
+    The trace's ``energy`` is ``1/2 ||grad m||^2 + 1/2 ||h||^2`` of the
+    merit ``m`` above: it includes the barrier term and no multipliers,
+    unlike the kernel's, whose ``v`` includes lambda and leaves the barrier
+    out.
     """
     config = _noise_free(config)
     mu = config.mu

@@ -121,24 +121,32 @@ def _with_keys(config, cfg: dict):
     return replace(config, **kwargs)
 
 
-def _run_solver(bundle, cfg: dict, x0s, mus=None):
-    """The configs run (the bundle's schedule, or one noise-free config) and each chain's Solution.
+def _configs(bundle, cfg: dict, mus=None):
+    """The configs run (the bundle's schedule, or one noise-free config) and the sweep's schedules.
 
     The diffusion phases' seeds are offset by ``seed``; the baselines run
     ``SolverConfig()`` with the keys applied and the noise zeroed. With
-    ``mus`` (a sweep), chain j runs at penalty ``mus[j]``. Diffusion and gd
-    run as one batch, bfgs chain by chain.
+    ``mus`` (a sweep), chain j runs at penalty ``mus[j]``; without, the
+    schedules are None and every chain runs the configs. Building them
+    checks every config value, so a bad one raises before any output exists.
     """
     if cfg["solver"] == "diffusion":
         phases = [replace(_with_keys(p, cfg), seed=p.seed + cfg["seed"]) for p in bundle.phases]
     else:
         phases = [_noise_free(_with_keys(SolverConfig(), cfg))]
-    scheds = phases if mus is None else [[replace(p, mu=mu) for p in phases] for mu in mus]
+    return phases, None if mus is None else [[replace(p, mu=mu) for p in phases] for mu in mus]
+
+
+def _run_solver(bundle, cfg: dict, x0s, phases, scheds=None):
+    """Each chain's Solution: chain j runs ``scheds[j]``, or ``phases`` when ``scheds`` is None.
+
+    Diffusion and gd run as one batch, bfgs chain by chain.
+    """
     if cfg["solver"] != "bfgs":
-        return phases, solve_batch(bundle.nlp, x0s, scheds, threads=cfg["threads"])
+        return solve_batch(bundle.nlp, x0s, phases if scheds is None else scheds, threads=cfg["threads"])
     # bfgs runs one phase: the noise-free config
-    configs = phases * len(x0s) if mus is None else [s[0] for s in scheds]
-    return phases, [bfgs_penalty(bundle.nlp, x0, c) for x0, c in zip(x0s, configs)]
+    configs = phases * len(x0s) if scheds is None else [s[0] for s in scheds]
+    return [bfgs_penalty(bundle.nlp, x0, c) for x0, c in zip(x0s, configs)]
 
 
 def _validate(cfg: dict, sweep: bool) -> list | None:
@@ -175,11 +183,12 @@ def cmd(args) -> int:
         x0s = bundle.guesses(cfg["batch"], cfg["seed"])
     else:
         x0s = bundle.guesses(1, cfg["seed"]) * len(mus)  # one guess shared across all mu values
+    phases, scheds = _configs(bundle, cfg, mus)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    configs, sols = _run_solver(bundle, cfg, x0s, mus)
+    sols = _run_solver(bundle, cfg, x0s, phases, scheds)
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     if mus is None:
@@ -188,7 +197,7 @@ def cmd(args) -> int:
             sol.trace.snapshots_to_csv(out / f"snapshots_{i}.csv")
         keys = {
             "batch": len(sols),
-            "phases": [asdict(c) for c in configs],
+            "phases": [asdict(c) for c in phases],
             "wall_ms": wall_ms,
             "timing_note": "wall-clock times are hardware-dependent and not an acceptance criterion",
             "chains": [sol.summary() for sol in sols],

@@ -17,13 +17,28 @@ import numpy as np
 from . import autodiff as ad
 
 
-def _as_bound(v, size: int, default: float) -> np.ndarray:
+def _as_bound(name: str, v, size: int, default: float) -> np.ndarray:
+    """Bound vector ``name`` as ``(size,)`` floats, ``default`` when None; a ValueError names the field."""
     if v is None:
         return np.full(size, default)
     out = np.atleast_1d(np.asarray(v, dtype=float))
     if out.shape != (size,):
-        raise ValueError(f"bound vector has shape {out.shape}, expected ({size},)")
+        raise ValueError(f"{name} has shape {out.shape}, expected ({size},)")
+    nan = np.flatnonzero(np.isnan(out))
+    if nan.size:
+        raise ValueError(f"{name}[{nan[0]}] is NaN; an unbounded side is -inf or inf")
     return out
+
+
+def _check_ordered(lower_name, lower, upper_name, upper):
+    """Raise a ValueError naming both fields and the index of a pair with lower > upper, or lower == upper finite."""
+    bad = np.flatnonzero((lower > upper) | ((lower == upper) & np.isfinite(lower)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"bounds must satisfy lower < upper: {lower_name}[{i}] = {float(lower[i])!r} is not below "
+            f"{upper_name}[{i}] = {float(upper[i])!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -48,6 +63,10 @@ class OcpDefinition:
     Each must match its callable; ``transcribe`` rejects an output of another
     shape. One left ``None`` is filled in by ``transcribe`` with one
     dual-number pass over the callable.
+
+    A bound left ``None`` is unbounded (-inf or inf). A bound of another
+    shape, a NaN bound, a lower bound above its upper bound, or two equal
+    finite bounds raise a ValueError naming the field (and the index).
     """
 
     K: int
@@ -72,12 +91,15 @@ class OcpDefinition:
         if x_init.shape != (self.nx,):
             raise ValueError(f"x_init has shape {x_init.shape}, expected ({self.nx},)")
         object.__setattr__(self, "x_init", x_init)
-        object.__setattr__(self, "u_lower", _as_bound(self.u_lower, self.nu, -np.inf))
-        object.__setattr__(self, "u_upper", _as_bound(self.u_upper, self.nu, np.inf))
-        object.__setattr__(self, "x_lower", _as_bound(self.x_lower, self.nx, -np.inf))
-        object.__setattr__(self, "x_upper", _as_bound(self.x_upper, self.nx, np.inf))
-        if np.any(self.u_lower > self.u_upper) or np.any(self.x_lower > self.x_upper):
-            raise ValueError("lower bounds must not exceed upper bounds")
+        for name, size, default in (
+            ("u_lower", self.nu, -np.inf),
+            ("u_upper", self.nu, np.inf),
+            ("x_lower", self.nx, -np.inf),
+            ("x_upper", self.nx, np.inf),
+        ):
+            object.__setattr__(self, name, _as_bound(name, getattr(self, name), size, default))
+        _check_ordered("u_lower", self.u_lower, "u_upper", self.u_upper)
+        _check_ordered("x_lower", self.x_lower, "x_upper", self.x_upper)
 
 
 @dataclass(frozen=True)
@@ -136,6 +158,7 @@ class NlpProblem:
     may be omitted; a missing one is filled in with one dual-number
     forward-mode pass over the plain callable. A dense Jacobian is
     ``vjp(np.eye(m))`` or :func:`langopt.autodiff.jacobian` of ``constraints``.
+    ``lower`` and ``upper`` are checked as :class:`OcpDefinition`'s bounds.
     """
 
     n: int
@@ -148,11 +171,9 @@ class NlpProblem:
     constraints_with_vjp: Callable = None
 
     def __post_init__(self):
-        self.lower = _as_bound(self.lower, self.n, -np.inf)
-        self.upper = _as_bound(self.upper, self.n, np.inf)
-        both = np.isfinite(self.lower) & np.isfinite(self.upper)
-        if np.any(self.lower[both] >= self.upper[both]):
-            raise ValueError("finite bounds must satisfy lower < upper strictly")
+        self.lower = _as_bound("lower", self.lower, self.n, -np.inf)
+        self.upper = _as_bound("upper", self.upper, self.n, np.inf)
+        _check_ordered("lower", self.lower, "upper", self.upper)
         if self.m < 0:
             raise ValueError("constraint dimension must be non-negative")
         if self.cost_and_gradient is None:

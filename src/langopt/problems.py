@@ -60,20 +60,21 @@ def pendulum_dynamics(x, u, params: PendulumParams = PendulumParams()):
 def pendulum_ocp(params: PendulumParams = PendulumParams()) -> OcpDefinition:
     """Swingup from hanging ([pi, 0]) to upright, with strict torque limits.
 
-    Stage coordinates are [theta, theta_dot, tau]. Every stage oracle
-    carries the bytes of the dual pass over its callable, NaN positions
-    included. The cost oracles write their gradients one ``(...)`` plane
-    per tangent row, and each plane runs the dual pass's per-entry
-    operations in its order (see :func:`bugtrap_ocp`): the running cost's
-    ``(0.0 + 2 tau * seed) * effort`` and the terminal cost's
-    ``2 theta * seed * 10.0 + 2 theta_dot * seed * 1.0``, with ``seed``
-    the tangent's 1.0 or 0.0. The dynamics oracle computes ``f`` with the
-    operations of :func:`pendulum_dynamics` and its Jacobian at its structure, one ``(...)`` plane per entry: the
+    Stage coordinates are [theta, theta_dot, tau]. Every stage oracle's
+    value has the bytes of the dual pass over its callable at every input,
+    and each derivative entry has the dual pass's bytes wherever the dual
+    pass's entry is not NaN. Only at a non-finite or overflowing input may
+    an entry hold a number where the dual pass holds NaN. The cost oracles
+    write their gradients one ``(...)`` plane per tangent row, and each
+    plane runs the dual pass's per-entry operations in its order (see
+    :func:`bugtrap_ocp`): the running cost's ``(0.0 + 2 tau) * effort``
+    along tau and +0.0 along the states, and the terminal cost's ``2 theta
+    * seed * 10.0 + 2 theta_dot * seed * 1.0``, with ``seed`` the tangent's
+    1.0 or 0.0, whose zero products set the sign of a zero. The dynamics
+    oracle computes ``f`` with the operations of :func:`pendulum_dynamics`
+    and its Jacobian at its structure, one ``(...)`` plane per entry: the
     one varying entry, ``d f_1 / d theta``, runs the dual pass's operations
-    in its order; the constant entries of row 1 are the constant plus a
-    NaN-carrying zero plane, ``0.0 - cos * 0.0``, which is +0.0 where
-    ``cos(theta - pi)`` is finite and NaN where the dual pass gives NaN;
-    row 0 does not depend on the input and is a plain fill.
+    in its order; every other entry is its constant.
     """
     mgl = params.m * params.g * params.l
     inertia = params.m * params.l**2
@@ -91,13 +92,11 @@ def pendulum_ocp(params: PendulumParams = PendulumParams()) -> OcpDefinition:
         f = np.empty(x.shape)
         f[..., 0] = theta + params.dt * theta_dot
         f[..., 1] = theta_dot + params.dt * ((u[..., 0] - mgl * np.sin(shifted)) / inertia)
-        cos = np.cos(shifted)
-        nan_zero = 0.0 - cos * 0.0  # +0.0, or NaN where the dual pass's zero tangents are NaN
         F = np.empty((2, 3) + theta.shape)  # row, tangent, stage
         F[0] = row0.reshape((3,) + (1,) * theta.ndim)
-        F[1, 0] = 0.0 + ((0.0 - cos * mgl) / inertia) * params.dt
-        F[1, 1] = 1.0 + nan_zero
-        F[1, 2] = rate_tau + nan_zero
+        F[1, 0] = 0.0 + ((0.0 - np.cos(shifted) * mgl) / inertia) * params.dt
+        F[1, 1] = 1.0
+        F[1, 2] = rate_tau
         return f, F
 
     def running_cost(x, u):
@@ -105,11 +104,7 @@ def pendulum_ocp(params: PendulumParams = PendulumParams()) -> OcpDefinition:
 
     def running_cost_and_gradient(x, u):
         du = 2.0 * u[..., 0]
-        g = np.empty((3,) + du.shape)  # planes (0.0 + du * seed) * effort: Dual.sum adds onto +0.0
-        off = np.multiply(du, 0.0, out=g[0])
-        np.add(0.0, off, out=off)
-        off *= effort
-        g[1] = off
+        g = np.zeros((3,) + du.shape)  # +0.0 along the states; along tau, Dual.sum adds du onto +0.0
         on = np.add(0.0, du, out=g[2])
         on *= effort
         return effort * u[..., 0] ** 2.0, g  # the sum over the one control is the control's square
@@ -244,28 +239,21 @@ def obstacle_value_and_gradient(p, geom: BugTrapGeometry, boxes=None):
     """:func:`obstacle_penalty` of plain points ``(..., 2)`` and its gradient, tangent-major ``(2, ...)``.
 
     The derivative is written in closed form as the operations the dual pass
-    ``obstacle_penalty(ad.seed(p), geom)`` runs, in its order, so the value
-    and every non-zero gradient entry carry its bytes (zeros may differ in
-    sign). Per rectangle and axis, with ``s`` the sign of the offset and
-    ``qp`` the clipped face distance: outside, ``d sd = (0.5 / r) * (t + t)``
-    with ``t = s * qp``; inside, ``s`` on the axis of the larger ``q``; then
-    the ramp's ``sigmoid * (-d sd / smooth_len) * smooth_len``, summed over
-    rectangles in order and times ``w_obs``. The dual pass also multiplies
-    the other axis's offset by a zero tangent; that term is the NaN-carrying
-    zero plane :func:`_position_zero` added to both components, so an
-    entry is NaN exactly where the dual pass's is, at an infinite
-    coordinate or an overflowing square too. ``boxes`` is
-    :func:`_box_arrays` of ``geom``, built per call when not given.
+    ``obstacle_penalty(ad.seed(p), geom)`` runs, in its order. At every
+    input the value has the dual pass's bytes; each gradient entry that is
+    not NaN there has its bytes too, but for the sign of a zero. Only at a
+    non-finite or overflowing point may an entry hold a number where the
+    dual pass holds NaN: the dual pass also multiplies each axis's offset
+    by the other axis's zero tangent, a term left out here. Per rectangle
+    and axis, with ``s`` the sign of the offset and ``qp`` the clipped face
+    distance: outside, ``d sd = (0.5 / r) * (t + t)`` with ``t = s * qp``;
+    inside, ``s`` on the axis of the larger ``q``; then the ramp's
+    ``sigmoid * (-d sd / smooth_len) * smooth_len``, summed over rectangles
+    in order and times ``w_obs``. ``boxes`` is :func:`_box_arrays` of
+    ``geom``, built per call when not given.
     """
     p = np.asarray(p, dtype=float)
-    total, grad = _obstacle_terms(p, geom, _box_arrays(geom) if boxes is None else boxes)
-    grad += _position_zero(p)  # each axis's tangent also multiplies the other axis's offset by 0
-    return total, grad
-
-
-def _obstacle_terms(p, geom, boxes):
-    """:func:`obstacle_value_and_gradient` of float points ``p`` before its :func:`_position_zero` is added."""
-    center, half = boxes
+    center, half = _box_arrays(geom) if boxes is None else boxes
     lead = p.shape[:-1]
     # (2, R, M): axis, rectangle, point; subtracted from the (possibly strided) position
     # views straight into the buffer, with no copy of the positions first
@@ -311,49 +299,38 @@ def _obstacle_terms(p, geom, boxes):
     return total.reshape(lead), grad.reshape((2,) + lead)
 
 
-def _position_zero(p):
-    """The dual obstacle pass's tangent along a direction that moves no position, for points ``(..., 2)``.
-
-    It comes out of products of the offsets with zero tangents: ``-0.0``, or
-    NaN where a coordinate is infinite or NaN. Adding it to a number other
-    than NaN leaves the number's bytes as they are.
-    """
-    return np.copysign(0.0 * p[..., 0] + 0.0 * p[..., 1], -1.0)
-
-
 def bugtrap_ocp(geom: BugTrapGeometry = BugTrapGeometry()) -> OcpDefinition:
     """Drive out of the U and around to the goal; obstacles live in the running cost.
 
-    Stage coordinates are [px, py, theta, v, omega]. Every stage oracle
-    carries the bytes of the dual pass over its callable, NaN positions
-    included. The cost oracles write their gradients one ``(...)`` plane
-    per tangent row, and each plane runs the dual pass's per-entry
-    operations in its order: a coordinate's derivative times the tangent's
-    seed, 1.0 or 0.0, so that a plane off the coordinate's own tangent is a
-    zero that is NaN where the dual pass's is. Products by 1.0 and the
-    ``** 1.0`` of a square's derivative are left out: both give their
-    operand's bytes. The running cost's plane j is the obstacle term plus
-    the effort term ``((0.0 + du0 * s0) + du1 * s1) * effort``, with
-    ``du = 2 u`` and ``s`` tangent j's control seeds. The obstacle term is
-    the closed form of :func:`obstacle_value_and_gradient` along the two
-    position tangents and :func:`_position_zero`, computed once per call,
-    along the other three. The terminal cost's planes are
-    ``((0.0 + 2 dp0 * s0) + 2 dp1 * s1) * w_goal`` on the value's own
-    ``dp``. Each value's sum over two squares is their one addition, as in
-    the dual pass. The dynamics oracle computes ``f`` with the operations of
-    :func:`unicycle_dynamics` and its Jacobian at its structure, one
-    ``(...)`` plane per entry: the four ``v * cos`` / ``v * sin`` tangents
-    (along theta and v) run the dual pass's operations in its order; the
-    other entries of rows 0 and 1 are their constant plus a NaN-carrying
-    zero plane, ``0.0 - sin * 0.0 * v``, which is +0.0 where theta and v
-    are finite and NaN where the dual pass gives NaN; the heading row does
-    not depend on the input and is a plain fill.
+    Stage coordinates are [px, py, theta, v, omega]. Every stage oracle's
+    value has the bytes of the dual pass over its callable at every input,
+    and each derivative entry has the dual pass's bytes wherever the dual
+    pass's entry is not NaN. Only at a non-finite or overflowing input may
+    an entry hold a number where the dual pass holds NaN. The cost oracles
+    write their gradients one ``(...)`` plane per tangent row, and each
+    plane runs the dual pass's per-entry operations in its order: a
+    coordinate's derivative times the tangent's seed, 1.0 or 0.0. A
+    product by 1.0 and the ``** 1.0`` of a square's derivative are left
+    out, since each gives its operand's bytes, and so is a product by 0.0
+    whose zero the following sum drops. The running cost's position planes
+    are the closed form of :func:`obstacle_value_and_gradient` plus 0.0,
+    which turns its -0.0 entries into the dual pass's +0.0; its heading
+    plane is +0.0; its control planes are the effort term ``(0.0 + 2 u_i)
+    * effort``. The terminal cost's planes are ``(0.0 + 2 dp_i) * w_goal``
+    along the positions, on the value's own ``dp``, and +0.0 along the
+    heading. Each value's sum over two squares is their one addition, as
+    in the dual pass. The dynamics oracle computes ``f`` with the
+    operations of :func:`unicycle_dynamics` and its Jacobian at its
+    structure, one ``(...)`` plane per entry: the four ``v * cos`` /
+    ``v * sin`` tangents run the dual pass's operations in its order,
+    ``0.0 + rate * dt``, less its products by a zero tangent, whose zeros
+    the ``0.0 +`` drops; every other entry is its constant.
     """
     boxes = _box_arrays(geom)
     dt = geom.dt
     effort = geom.dt * 0.01
     goal = np.asarray(geom.goal)
-    row2 = np.array([0.0, 0.0, 1.0, 0.0, 0.0 + 1.0 * dt])  # the heading row, input-independent
+    rate_omega = 0.0 + 1.0 * dt  # the heading row's tangent along omega, as the dual pass forms it
 
     def dynamics(x, u):
         return unicycle_dynamics(x, u, dt)
@@ -365,41 +342,27 @@ def bugtrap_ocp(geom: BugTrapGeometry = BugTrapGeometry()) -> OcpDefinition:
         f[..., 0] = x[..., 0] + dt * (v * cos)
         f[..., 1] = x[..., 1] + dt * (v * sin)
         f[..., 2] = theta + dt * u[..., 1]
-        nan_zero = 0.0 - sin * 0.0 * v  # +0.0, or NaN where the dual pass's zero tangents are NaN
-        F = np.empty((3, 5) + theta.shape)  # row, tangent, stage
+        F = np.zeros((3, 5) + theta.shape)  # row, tangent, stage
+        F[0, 0] = F[1, 1] = F[2, 2] = 1.0
         for i, (rate_v, rate_theta) in enumerate(((cos, -sin * v), (sin, cos * v))):
-            F[i, :2] = nan_zero  # the tangents of v * cos(theta), v * sin(theta)
-            F[i, i] += 1.0
-            F[i, 2] = 0.0 + (0.0 * rate_v + rate_theta) * dt
-            F[i, 3] = 0.0 + (rate_v + nan_zero) * dt
-            F[i, 4] = nan_zero
-        F[2] = row2.reshape((5,) + (1,) * theta.ndim)
+            # the tangents of v * cos(theta), v * sin(theta) along theta and v
+            F[i, 2] = 0.0 + rate_theta * dt
+            F[i, 3] = 0.0 + rate_v * dt
+        F[2, 4] = rate_omega
         return f, F
 
     def running_cost(x, u):
         return obstacle_penalty(x[..., :2], geom) + effort * ad.asum(u**2.0, axis=-1)
 
     def running_cost_and_gradient(x, u):
-        p = x[..., :2]
-        obs, dobs = _obstacle_terms(p, geom, boxes)
-        zero = _position_zero(p)
-        dobs += zero
-        # the effort term along the five stage tangents, in the dual pass's order: 0.0, then
-        # du0 times the tangent's u0 seed, then du1 times its u1 seed, then the weight
-        du = 2.0 * u
-        du0, du1 = du[..., 0], du[..., 1]
-        u0_off = np.add(0.0, du0 * 0.0)  # shared by planes 0-2 and 4
-        u1_off = du1 * 0.0  # shared by planes 0-3
+        obs, dobs = obstacle_value_and_gradient(x[..., :2], geom, boxes)
+        # planes: the obstacle gradient plus the effort term's +0.0 along the positions,
+        # +0.0 along theta, and (0.0 + 2 u_i) * effort along the controls
         g = np.empty((5,) + obs.shape)
-        nz = np.add(u0_off, u1_off, out=g[2])
-        nz *= effort  # off the control tangents: +0.0, or NaN where the dual pass's is
-        np.add(dobs, nz, out=g[:2])
-        g3 = np.add(0.0, du0, out=g[3])
-        g3 += u1_off
-        g3 *= effort
-        g4 = np.add(u0_off, du1, out=g[4])
-        g4 *= effort
-        np.add(zero, g[2:], out=g[2:])
+        np.add(dobs, 0.0, out=g[:2])
+        g[2] = 0.0
+        np.add(0.0, np.moveaxis(2.0 * u, -1, 0), out=g[3:])
+        g[3:] *= effort
         u_sq = u[..., 0] ** 2.0
         u_sq += u[..., 1] ** 2.0  # the sum over the two controls: one addition, in order
         return obs + effort * u_sq, g
@@ -410,13 +373,8 @@ def bugtrap_ocp(geom: BugTrapGeometry = BugTrapGeometry()) -> OcpDefinition:
 
     def terminal_cost_and_gradient(x):
         dp = x[..., :2] - goal
-        two_dp = 2.0 * dp
-        t0, t1 = two_dp[..., 0], two_dp[..., 1]
-        t0_off, t1_off = np.add(0.0, t0 * 0.0), t1 * 0.0
-        g = np.empty((3,) + dp.shape[:-1])  # planes ((0.0 + t0 * seed) + t1 * seed) * w_goal
-        np.add(np.add(0.0, t0), t1_off, out=g[0, ...])
-        np.add(t0_off, t1, out=g[1, ...])
-        np.add(t0_off, t1_off, out=g[2, ...])
+        g = np.zeros((3,) + dp.shape[:-1])  # planes ((0.0 + 2 dp0 * seed) + 2 dp1 * seed) * w_goal
+        np.add(0.0, np.moveaxis(2.0 * dp, -1, 0), out=g[:2])
         g *= geom.w_goal
         dp_sq = dp[..., 0] ** 2.0
         dp_sq += dp[..., 1] ** 2.0  # the sum over the two coordinates: one addition, in order

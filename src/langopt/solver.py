@@ -839,9 +839,10 @@ def solve_batch(
 
     Per-chain failures are reported on the corresponding Solution
     (``success=False``, ``config`` the phase it failed in) without aborting
-    the rest of the batch. Every chain runs in one vectorised stack on the
-    calling thread; ``threads``, an integer of at least 1, is validated and
-    changes nothing.
+    the rest of the batch, and without a RuntimeWarning: the batch runs
+    under ``np.errstate`` with overflow, invalid and divide ignored. Every
+    chain runs in one vectorised stack on the calling thread; ``threads``,
+    an integer of at least 1, is validated and changes nothing.
     ``lambda0s`` lets a batch continue from previously obtained multipliers
     (default: zeros).
     """
@@ -855,12 +856,15 @@ def solve_batch(
     box = _Box(nlp.lower, nlp.upper)
     Lam0 = np.zeros((N, nlp.m)) if lambda0s is None else _stack_entries("lambda0s", lambda0s, (N, nlp.m))
 
-    t0 = time.perf_counter()
-    X, Lam, chains = _run_chains(nlp, box, X0, Lam0, scheds, seeds)
-    dt_ms = (time.perf_counter() - t0) * 1e3
-    # evaluated once on the final stack; a constant broadcasts
-    hsq = np.broadcast_to(nlp.constraint_violation(X), (N,))
-    cost = np.broadcast_to(ad.value(nlp.cost(X)), (N,))
+    # a diverging chain is reported on its Solution, not by numpy's RuntimeWarnings; one
+    # errstate for the whole batch, since entering one per iteration costs the kernel time
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t0 = time.perf_counter()
+        X, Lam, chains = _run_chains(nlp, box, X0, Lam0, scheds, seeds)
+        dt_ms = (time.perf_counter() - t0) * 1e3
+        # evaluated once on the final stack; a constant broadcasts
+        hsq = np.broadcast_to(nlp.constraint_violation(X), (N,))
+        cost = np.broadcast_to(ad.value(nlp.cost(X)), (N,))
     return [
         Solution(
             xbar=X[j],
@@ -892,7 +896,8 @@ def trajectory_guess(ocp: OcpDefinition, state_box: np.ndarray, rng) -> np.ndarr
     the guess is scattered and dynamically infeasible by construction. A
     state with a finite bound is drawn from the box's row intersected with
     the open interval between its bounds; a ValueError names ``state_box``
-    when that intersection is empty.
+    when that intersection is empty, and when any row to draw from is
+    reversed or not finite, or so wide that ``high - low`` overflows.
     """
     box = np.asarray(state_box, dtype=float)
     if box.shape != (ocp.nx, 2):
@@ -908,6 +913,11 @@ def trajectory_guess(ocp: OcpDefinition, state_box: np.ndarray, rng) -> np.ndarr
             f"state_box row {i} {box[i].tolist()} has no point strictly inside the "
             f"state bounds ({ocp.x_lower[i]}, {ocp.x_upper[i]})"
         )
+    with np.errstate(over="ignore", invalid="ignore"):
+        drawable = (low <= high) & np.isfinite(high - low)
+    if not drawable.all():
+        i = np.flatnonzero(~drawable)[0]
+        raise ValueError(f"state_box row {i} {box[i].tolist()} must satisfy low <= high with high - low finite")
     lo, hi = ocp.u_lower, ocp.u_upper
     fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
     u0 = np.zeros(ocp.nu)

@@ -265,6 +265,22 @@ class TestExitCodes:
         assert "threads" in capsys.readouterr().err
         assert not out.exists()  # rejected before any output
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("run", ["--iters", "0"], "iterations must be an integer of at least 1, got 0"),
+            ("run", ["--stride", "0"], "snapshot_stride must be an integer of at least 1, got 0"),
+            ("run", ["--solver", "bfgs", "--iters", "0"], "iterations must be an integer of at least 1, got 0"),
+            ("sweep", ["--mus", "1,-2"], "mu must be positive"),
+        ],
+    )
+    def test_rejected_config_value_creates_no_directory(self, tmp_path, capsys, command, flags, message):
+        # the configs are built, and so checked, before the output directory is made
+        out = tmp_path / "o"
+        assert main([command, "--problem", "toy_kkt", "--out", str(out), *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_mus_not_numbers(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["sweep", "--problem", "toy_kkt", "--mus", "1,a", "--out", str(out)]) == 1
@@ -306,7 +322,7 @@ class TestSweep:
         assert code == 2
         assert "some chains failed; partial outputs retained" in capsys.readouterr().err
         ref = "mu,iter,hsq\n"
-        for mu, sol in zip([0.1, 2.5, 1e300], runs[0][1]):
+        for mu, sol in zip([0.1, 2.5, 1e300], runs[0]):
             for it, hsq in zip(sol.trace.iters, sol.trace.hsq):
                 ref += f"{mu!r},{int(it)},{float(hsq)!r}\n"
         assert (out / "sweep.csv").read_text() == ref
@@ -337,7 +353,7 @@ class TestSweep:
         out = tmp_path / "sw"
         assert main(["sweep", "--problem", "toy_kkt", "--out", str(out), "--mus", "0.1,2.5,10", "--iters", "30"]) == 2
         assert "some chains failed" in capsys.readouterr().err
-        sols = runs[0][1]
+        sols = runs[0]
         assert [(s.success, len(s.trace)) for s in sols] == [(True, 60), (False, 13), (True, 60)]
         ref = "mu,iter,hsq\n"
         for mu, sol in zip([0.1, 2.5, 10.0], sols):
@@ -350,9 +366,9 @@ class TestSweep:
         run_solver = langopt.cli._run_solver
 
         def short_hsq(*a):
-            phases, sols = run_solver(*a)
+            sols = run_solver(*a)
             sols[1].trace.hsq = sols[1].trace.hsq[:-1]
-            return phases, sols
+            return sols
 
         monkeypatch.setattr(langopt.cli, "_run_solver", short_hsq)
         out = tmp_path / "sw"
@@ -403,7 +419,7 @@ def test_sweep_csv_rows_across_write_blocks(tmp_path, monkeypatch):
     out = tmp_path / "sw"
     assert main(["sweep", "--problem", "toy_kkt", "--out", str(out), "--mus", "0.1,3", "--iters", "600"]) == 0
     ref = "mu,iter,hsq\n"
-    for mu, sol in zip([0.1, 3.0], runs[0][1]):
+    for mu, sol in zip([0.1, 3.0], runs[0]):
         for it, hsq in zip(sol.trace.iters, sol.trace.hsq):
             ref += f"{mu!r},{int(it)},{float(hsq)!r}\n"
     assert (out / "sweep.csv").read_text() == ref

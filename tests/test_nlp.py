@@ -174,6 +174,39 @@ class TestTranscribe:
                 x_init=np.zeros(3),
             )
 
+    def test_bound_of_the_wrong_shape_names_the_field(self):
+        with pytest.raises(ValueError, match=re.escape("u_lower has shape (3,), expected (1,)")):
+            dataclasses.replace(pendulum_ocp(), u_lower=np.zeros(3))
+        with pytest.raises(ValueError, match=re.escape("upper has shape (2,), expected (3,)")):
+            NlpProblem(n=3, m=0, cost=lambda x: 0.0, constraints=lambda x: x[..., :0], upper=np.ones(2))
+
+    def test_nan_bound_names_the_field_and_the_index(self):
+        # accepted before, and every chain of a batch then failed with a non-finite drift
+        with pytest.raises(ValueError, match=re.escape("u_upper[0] is NaN")):
+            dataclasses.replace(pendulum_ocp(), u_upper=np.array([np.nan]))
+        with pytest.raises(ValueError, match=re.escape("x_lower[1] is NaN")):
+            dataclasses.replace(pendulum_ocp(), x_lower=np.array([0.0, np.nan]))
+        with pytest.raises(ValueError, match=re.escape("lower[2] is NaN")):
+            NlpProblem(n=3, m=0, cost=lambda x: 0.0, constraints=lambda x: x[..., :0], lower=[0.0, 0.0, np.nan])
+
+    @pytest.mark.parametrize(
+        "field, lower, upper, index",
+        [
+            ("u", [1.0], [1.0], 0),
+            ("u", [2.0], [1.0], 0),
+            ("x", [0.0, 3.0], [1.0, 3.0], 1),
+            ("x", [0.0, np.inf], [1.0, -np.inf], 1),
+        ],
+    )
+    def test_unordered_bounds_name_the_fields_and_the_index(self, field, lower, upper, index):
+        # equal finite bounds passed OcpDefinition before, and transcribe then failed unnamed
+        msg = (
+            f"bounds must satisfy lower < upper: {field}_lower[{index}] = {lower[index]!r} is not below "
+            f"{field}_upper[{index}] = {upper[index]!r}"
+        )
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            dataclasses.replace(pendulum_ocp(), **{f"{field}_lower": np.array(lower), f"{field}_upper": np.array(upper)})
+
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)
     def test_exact_rollout_zero_defects(self, seed):
@@ -325,6 +358,13 @@ def same_or_both_nan(a, b):
     return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
 
 
+def bytes_where_the_dual_pass_holds_a_number(got, ref):
+    """Equal shapes, and ``ref``'s bytes wherever ``ref`` is not NaN; ``got`` may hold a number where it is."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    number = ~np.isnan(ref)
+    return got.shape == ref.shape and got[number].tobytes() == ref[number].tobytes()
+
+
 def assert_same_oracle_bytes(nlp, ref, bundle, rng, lead):
     """``nlp`` and ``ref`` give the same cost, gradient, residual and VJP bytes on special points."""
     for _ in range(3):
@@ -379,11 +419,13 @@ class TestStageOracles:
 
     def test_stage_oracles_equal_the_dual_pass_at_non_finite_inputs(self, problem):
         # the benchmark's stage shapes too, with +-1e308 so that products overflow and +-5e-324
-        # so that they underflow to a signed zero
+        # so that they underflow to a signed zero. Each value has the dual pass's bytes, NaN
+        # included; each derivative entry has them wherever the dual pass's entry is not NaN
         ocp = get_problem(problem).ocp
         rng = np.random.default_rng(5)
         values = np.array([0.0, -0.0, 1.5, -2.0, np.pi / 2, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324])
         d = ocp.nx + ocp.nu
+        nan_entries = 0
         for lead in [(40,), (64, 50), (10, 60)]:
             x, u = (
                 np.where(rng.random(lead + (k,)) < 0.5, rng.choice(values, lead + (k,)), rng.uniform(-3, 3, lead + (k,)))
@@ -402,9 +444,11 @@ class TestStageOracles:
                     (ocp.running_cost_and_gradient(x, u), (l.val, l.eps)),
                     (ocp.terminal_cost_and_gradient(x), (phi.val, phi.eps)),
                 ]
-            for got, ref in pairs:
-                for a, b in zip(got, ref):
-                    assert same_or_both_nan(a, b)
+            for (value, deriv), (ref_value, ref_deriv) in pairs:
+                assert same_or_both_nan(value, ref_value)
+                assert bytes_where_the_dual_pass_holds_a_number(deriv, ref_deriv)
+                nan_entries += np.isnan(ref_deriv).sum()
+        assert nan_entries > 0  # the inputs reach the entries where the contract lets the bytes differ
 
     def short_schedule(self, bundle, iterations=60):
         return [
@@ -427,20 +471,31 @@ class TestStageOracles:
             assert (a.hsq, a.cost) == (b.hsq, b.cost)
 
     def test_nan_state_fails_the_same_chain_at_the_same_iteration(self, problem):
+        # one bad entry per failing chain: a NaN, -inf or 1e308 state, an inf or 1e308 control.
+        # Where the dual pass holds NaN the closed forms may hold a number, and the chain still
+        # fails at the same iteration; only the failing row's energy may read inf for nan
         bundle = get_problem(problem)
         dual = transcribe(dual_fallback(bundle.ocp))
         rng = np.random.default_rng(10)
-        x0s = [bundle.guess(rng) for _ in range(4)]
-        x0s[2][-1] = np.nan  # a state of the last knot
+        x0s = [bundle.guess(rng) for _ in range(8)]
+        n_u = bundle.ocp.K * bundle.ocp.nu  # controls first, then the states
+        bad = {1: (3, np.inf), 2: (-1, np.nan), 4: (n_u - 1, 1e308), 5: (n_u + 7, -np.inf), 6: (n_u + 20, 1e308)}
+        for j, (i, value) in bad.items():
+            x0s[j][i] = value
         phases = [dataclasses.replace(p, barrier_weight=0.0) for p in self.short_schedule(bundle)]
-        with np.errstate(invalid="ignore"):
-            got, ref = solve_batch(bundle.nlp, x0s, phases), solve_batch(dual, x0s, phases)
-        assert [s.success for s in got] == [s.success for s in ref] == [True, True, False, True]
+        got, ref = solve_batch(bundle.nlp, x0s, phases), solve_batch(dual, x0s, phases)
+        assert [s.success for s in got] == [s.success for s in ref] == [j not in bad for j in range(8)]
         for a, b in zip(got, ref):
             assert a.message == b.message and len(a.trace) == len(b.trace)
-            for name in ("cost", "hsq", "energy", "snapshots"):
-                assert same_or_both_nan(getattr(a.trace, name), getattr(b.trace, name))
             assert a.xbar.tobytes() == b.xbar.tobytes() and a.lam.tobytes() == b.lam.tobytes()
+            assert a.trace.snapshots.tobytes() == b.trace.snapshots.tobytes()  # all taken before a step
+            rows = len(a.trace) - (not a.success)  # the rows before a failed chain's failing row
+            for name in ("cost", "hsq", "energy"):
+                assert getattr(a.trace, name)[:rows].tobytes() == getattr(b.trace, name)[:rows].tobytes()
+            if not a.success:
+                assert same_or_both_nan(a.trace.cost[-1], b.trace.cost[-1])
+                assert same_or_both_nan(a.trace.hsq[-1], b.trace.hsq[-1])
+                assert not np.isfinite(a.trace.energy[-1]) and not np.isfinite(b.trace.energy[-1])
 
 
 class TestStageOracleShapes:

@@ -885,6 +885,25 @@ class TestSolveBatch:
         assert_same_solution(batch[0], alone[0])
         assert np.array_equal(batch[2].xbar, x0s[2], equal_nan=True)
 
+    def test_a_diverging_chain_warns_nothing(self):
+        # the CLI's diverging gd case (--solver gd --alpha 1e6 --iters 50 --batch 2): both chains
+        # overflow to inf and NaN, and the batch returns the same Solutions with warnings as errors
+        bundle = get_problem("toy_kkt")
+        cfg = SolverConfig(alpha=1e6, iterations=50, sigma0=0.0, sigma_min=0.0, gamma=1.0)
+        runs = {}
+        for action in ("error", "ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                runs[action] = solve_batch(bundle.nlp, bundle.guesses(2), cfg)
+        assert [s.success for s in runs["error"]] == [False, False]
+        for a, b in zip(runs["error"], runs["ignore"]):
+            assert (a.success, a.message) == (b.success, b.message)
+            assert np.array_equal([a.hsq, a.cost], [b.hsq, b.cost], equal_nan=True)
+            assert np.array_equal(a.xbar, b.xbar, equal_nan=True) and np.array_equal(a.lam, b.lam, equal_nan=True)
+            for name in ("iters", "cost", "hsq", "energy", "sigma", "snapshot_iters", "snapshots"):
+                x, y = getattr(a.trace, name), getattr(b.trace, name)
+                assert x.shape == y.shape and np.array_equal(x, y, equal_nan=True), name
+
     def test_ragged_x0s_names_the_entry(self):
         nlp = toy_kkt_problem()
         with pytest.raises(ValueError, match=re.escape("x0s[1] has shape (3,), expected (2,)")):
@@ -1013,6 +1032,16 @@ class TestTrajectoryGuess:
         box = np.array([[0.0, 1.0], row])
         with pytest.raises(ValueError, match="state_box row 1"):
             trajectory_guess(self.bounded_pendulum(), box, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "row", [[2.0, -2.0], [np.nan, 1.0], [0.0, np.nan], [-np.inf, 1.0], [0.0, np.inf], [-1e308, 1e308]]
+    )
+    def test_unbounded_state_row_reversed_or_not_finite_rejected(self, row):
+        # numpy's uniform would raise "high - low < 0", or an OverflowError the CLI does not catch
+        box = np.array([[0.0, 1.0], row])
+        msg = f"state_box row 1 {row} must satisfy low <= high with high - low finite"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            trajectory_guess(pendulum_ocp(), box, np.random.default_rng(0))
 
 
 class TestEnergyDescent:
