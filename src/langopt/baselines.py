@@ -82,16 +82,39 @@ def bfgs_penalty(
     The trace's ``energy`` is ``1/2 ||grad m||^2 + 1/2 ||h||^2`` of the
     merit ``m`` above: it includes the barrier term and no multipliers,
     unlike the kernel's, whose ``v`` includes lambda and leaves the barrier
-    out.
+    out. Like :func:`solve_batch`, it runs under ``np.errstate`` with
+    overflow, invalid and divide ignored, so a diverging solve raises no
+    RuntimeWarning.
     """
     config = _noise_free(config)
+    (x,) = _initial_points(nlp, [x0], config.barrier_weight, alone=True)
+
+    # a diverging chain fails with a message, as in solve_batch, not with numpy's RuntimeWarnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t0 = time.perf_counter()
+        x, trace, success, message = _bfgs_loop(nlp, x, config)
+        dt_ms = (time.perf_counter() - t0) * 1e3
+        hsq = float(nlp.constraint_violation(x))
+        cost = float(ad.value(nlp.cost(x)))
+    return Solution(
+        xbar=x,
+        lam=np.zeros(nlp.m),
+        hsq=hsq,
+        cost=cost,
+        trace=trace,
+        duration_ms=dt_ms,
+        config=config,
+        success=success,
+        message=message,
+    )
+
+
+def _bfgs_loop(nlp, x, config):
+    """The BFGS iterations of :func:`bfgs_penalty` from ``x``: its final point, trace, success and message."""
     mu = config.mu
     beta = config.barrier_weight
-    (x,) = _initial_points(nlp, [x0], beta, alone=True)
     n = x.size
     box = _Box(nlp.lower, nlp.upper)
-
-    t0 = time.perf_counter()
     H = np.eye(n)
     m, g, hsq, c = _merit_and_gradient(nlp, x, mu, beta)
     rec = {k: [] for k in ("cost", "hsq", "energy", "sigma")}
@@ -150,7 +173,6 @@ def bfgs_penalty(
             H = V @ H @ V.T + rho * np.outer(s, s)
         x, m, g, hsq, c = cand, m_new, g_new, hsq_new, c_new
 
-    dt_ms = (time.perf_counter() - t0) * 1e3
     trace = Trace(
         iters=np.arange(len(rec["cost"])),
         cost=np.array(rec["cost"]),
@@ -160,15 +182,4 @@ def bfgs_penalty(
         snapshot_iters=np.array(snap_iters, dtype=int),
         snapshots=np.array(snaps) if snaps else np.zeros((0, n)),
     )
-    lam = np.zeros(nlp.m)
-    return Solution(
-        xbar=x,
-        lam=lam,
-        hsq=float(nlp.constraint_violation(x)),
-        cost=float(ad.value(nlp.cost(x))),
-        trace=trace,
-        duration_ms=dt_ms,
-        config=config,
-        success=success,
-        message=message,
-    )
+    return x, trace, success, message

@@ -31,7 +31,11 @@ def _as_bound(name: str, v, size: int, default: float) -> np.ndarray:
 
 
 def _check_ordered(lower_name, lower, upper_name, upper):
-    """Raise a ValueError naming both fields and the index of a pair with lower > upper, or lower == upper finite."""
+    """Raise a ValueError naming both fields and the index of a pair with lower > upper, or lower == upper finite.
+
+    A lower bound of inf or an upper bound of -inf (a pair of the same
+    infinity) raises a ValueError naming that field and index.
+    """
     bad = np.flatnonzero((lower > upper) | ((lower == upper) & np.isfinite(lower)))
     if bad.size:
         i = bad[0]
@@ -39,6 +43,10 @@ def _check_ordered(lower_name, lower, upper_name, upper):
             f"bounds must satisfy lower < upper: {lower_name}[{i}] = {float(lower[i])!r} is not below "
             f"{upper_name}[{i}] = {float(upper[i])!r}"
         )
+    for name, side, which, wrong in ((lower_name, lower, "a lower", np.inf), (upper_name, upper, "an upper", -np.inf)):
+        bad = np.flatnonzero(side == wrong)
+        if bad.size:
+            raise ValueError(f"{name}[{bad[0]}] is {wrong}; {which} bound is finite or {-wrong}")
 
 
 @dataclass(frozen=True)

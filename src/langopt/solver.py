@@ -323,6 +323,9 @@ def barrier_gradient(x, lower, upper):
     """Gradient of -sum[log(upper - x) + log(x - lower)] over finite bounds.
 
     Infinite bounds contribute exactly zero (1/inf == 0 in IEEE arithmetic).
+    A point on or outside a finite bound raises a BarrierDomainError. The
+    stepping kernel forms the same expression without this test, since its
+    points are strictly interior by construction (see :func:`_drift`).
     """
     x = ad.value(x)
     du = upper - x
@@ -376,12 +379,16 @@ class _Box:
 
 
 def _interior(X, box):
-    """Per-chain strict interiority w.r.t. ``box``'s finite bounds, and finiteness of every coordinate."""
-    ok = np.isfinite(X).all(axis=-1)
+    """Per-chain strict interiority w.r.t. ``box``'s finite bounds, and finiteness of every coordinate.
+
+    Each test is one ufunc reduction: ``ndarray.all`` and ``any`` reach the
+    same reductions through Python wrappers.
+    """
+    ok = np.logical_and.reduce(np.isfinite(X), axis=-1)
     if box.cols is None:
         return ok
     Xb = X[..., box.cols]
-    return ok & ~((Xb <= box.lower) | (Xb >= box.upper)).any(axis=-1)
+    return ok & ~np.logical_or.reduce((Xb <= box.lower) | (Xb >= box.upper), axis=-1)
 
 
 def _drift(nlp, X, Lam, mu, beta, box):
@@ -389,9 +396,14 @@ def _drift(nlp, X, Lam, mu, beta, box):
 
     ``v = grad c + J^T (lam + mu h)`` is the gradient of the
     augmented-Lagrangian merit and ``g`` adds ``beta`` times the barrier
-    gradient on ``box``'s span of finite-bound coordinates; every other coordinate
-    gets the barrier's exact ``+ 0.0`` (1/inf - 1/inf). At ``beta = 0``,
-    ``g`` is ``v`` and ``box`` is not read.
+    gradient ``1/(u - x) - 1/(x - l)`` on ``box``'s span of finite-bound
+    coordinates; every other coordinate gets the barrier's exact ``+ 0.0``
+    (1/inf - 1/inf). At ``beta = 0``, ``g`` is ``v`` and ``box`` is not read.
+
+    The barrier is formed without a domain test: the kernel keeps every
+    active row of ``X`` strictly inside the box while ``beta > 0`` (see
+    :func:`_run_chains`), so the test of :func:`barrier_gradient` could not
+    fail. An inactive row may lie outside; its drift is never used.
     """
     h, vjp = nlp.constraints_with_vjp(X)
     c, cg = nlp.cost_and_gradient(X)
@@ -400,14 +412,24 @@ def _drift(nlp, X, Lam, mu, beta, box):
     if beta > 0:
         g = v + 0.0
         if box.cols is not None:
-            b = barrier_gradient(X[..., box.cols], box.lower, box.upper)
-            g[..., box.cols] = v[..., box.cols] + beta * b
+            Xb = X[..., box.cols]
+            b = 1.0 / (box.upper - Xb)
+            b -= 1.0 / (Xb - box.lower)
+            b *= beta
+            g[..., box.cols] += b
     return c, h, v, g
 
 
 def drift(nlp: NlpProblem, xbar, lam, mu: float, barrier_weight: float = 0.0):
-    """Drift of the decision variables: the kernel's merit gradient plus its barrier term."""
-    return _drift(nlp, xbar, lam, mu, barrier_weight, _Box(nlp.lower, nlp.upper))[3]
+    """Drift of the decision variables: the kernel's merit gradient plus its barrier term.
+
+    With ``barrier_weight > 0``, a point on or outside a finite bound raises
+    a BarrierDomainError, as :func:`barrier_gradient` does.
+    """
+    box = _Box(nlp.lower, nlp.upper)
+    if barrier_weight > 0 and box.cols is not None:
+        barrier_gradient(xbar[..., box.cols], box.lower, box.upper)  # for its domain test only
+    return _drift(nlp, xbar, lam, mu, barrier_weight, box)[3]
 
 
 def energy(nlp: NlpProblem, xbar, lam, mu: float) -> float:
@@ -530,8 +552,15 @@ def _advance(nlp, X, Lam, it, phase, streams, active, every, box, diag, t):
     The common case is straight-line: one finiteness test of the whole
     drift and, with a barrier, one interiority test of the whole step decide
     it, and per-chain masks are formed only when one of them fails or a
-    chain is inactive. While every chain steps, the noise is one all-chain
-    read, added in place.
+    chain is inactive. Without finite bounds (``box.cols`` is None) that
+    interiority test is one finiteness test of the whole step, and the
+    per-chain test runs only when it fails. While every chain steps, the
+    noise is one all-chain read, added in place.
+
+    With a barrier, every active row of ``X`` is strictly inside the box
+    (the caller's invariant), and every step or retry the kernel accepts
+    passed :func:`_interior`, so the next iteration's barrier is formed
+    without a domain test.
 
     A step that leaves the finite bounds is retried at half the time step,
     up to ``_MAX_RETRIES`` halvings. The retries run one halving level at a
@@ -547,13 +576,14 @@ def _advance(nlp, X, Lam, it, phase, streams, active, every, box, diag, t):
     sigma = phase.sigma[it]
     c, h, v, g = _drift(nlp, X, Lam, phase.mu, phase.beta, box)
     diag[0][t] = c
-    (h * h).sum(axis=-1, out=diag[1][t])
-    (v * v).sum(axis=-1, out=diag[2][t])
+    np.add.reduce(h * h, axis=-1, out=diag[1][t])
+    np.add.reduce(v * v, axis=-1, out=diag[2][t])
 
     failures = {}
     ok = active
-    if not np.isfinite(g).all():
-        bad = ~np.isfinite(g).all(axis=-1)
+    finite = np.isfinite(g)
+    if not np.logical_and.reduce(finite, axis=None):
+        bad = ~np.logical_and.reduce(finite, axis=-1)
         for j in (active & bad).nonzero()[0]:
             failures[int(j)] = f"non-finite drift at iteration {it}"
         ok = active & ~bad
@@ -569,15 +599,16 @@ def _advance(nlp, X, Lam, it, phase, streams, active, every, box, diag, t):
             idx = ok.nonzero()[0]
             Xc[idx] += scale * streams.draw(idx)
 
-    if phase.beta > 0:
+    # without finite bounds a step is inside when it is finite: one whole-stack test decides that
+    if phase.beta > 0 and not (box.cols is None and np.logical_and.reduce(np.isfinite(Xc), axis=None)):
         inside = _interior(Xc, box)
-        if not inside.all():
+        if not np.logical_and.reduce(inside):
             outside = (ok & ~inside).nonzero()[0]
             for r in range(1, _MAX_RETRIES + 1):
                 if not outside.size:
                     break
                 scale = 0.5**r
-                cand = X[outside] - phase.half_alpha * scale * g[outside]
+                cand = X.take(outside, axis=0) - phase.half_alpha * scale * g.take(outside, axis=0)
                 if sigma > 0:
                     cand = cand + sigma * math.sqrt(phase.alpha * scale) * streams.draw(outside)
                 inside = _interior(cand, box)
@@ -663,6 +694,14 @@ def _run_chains(nlp, box, X0, Lam0, scheds, seeds):
     each phase's own stride from the phase's first iteration. A chain that
     fails is not run in later phases; its trace ends at the failure.
 
+    During a phase with a barrier (``barrier_weight > 0``), every active
+    row of ``X`` is strictly inside the box: :func:`_drift` relies on it.
+    The caller checks the initial points for phase 0, and the kernel
+    accepts only steps that pass :func:`_interior`. A barrier-free phase
+    does not test its steps, so each later barrier phase tests its active
+    chains once when it starts; a chain outside fails there, its trace
+    ending where the previous phase ended.
+
     Every chain runs ``scheds[0]``'s phases, so the iteration and σ columns
     are the same for all: each trace's ``iters`` and ``sigma`` are read-only
     prefix views of one :class:`_BatchColumns`, which formats each column
@@ -700,6 +739,17 @@ def _run_chains(nlp, box, X0, Lam0, scheds, seeds):
     snapped = 0
 
     for k, (start, config) in enumerate(zip(starts, phases)):
+        if config.barrier_weight > 0:
+            # a barrier-free phase before this one may have left a chain outside the box
+            outside = (active & ~_interior(X, box)).nonzero()[0]
+            for j in outside:
+                msg = f"phase {k}: not strictly interior to finite bounds at the start of the phase"
+                failed[int(j)] = (start, msg, scheds[j][k])
+            if outside.size:
+                active[outside] = False
+                every = False
+                if not active.any():
+                    break
         streams = _Streams([np.random.default_rng(int(seed)) for seed in seeds[:, k]], n)
         phase = _Phase(config, np.array([[sched[k].mu] for sched in scheds], dtype=float))
         sigma[start : start + config.iterations] = phase.sigma
@@ -839,10 +889,15 @@ def solve_batch(
 
     Per-chain failures are reported on the corresponding Solution
     (``success=False``, ``config`` the phase it failed in) without aborting
-    the rest of the batch, and without a RuntimeWarning: the batch runs
-    under ``np.errstate`` with overflow, invalid and divide ignored. Every
-    chain runs in one vectorised stack on the calling thread; ``threads``,
-    an integer of at least 1, is validated and changes nothing.
+    the rest of the batch: a non-finite drift, a step that stays outside
+    the finite bounds through every halved retry, and a chain that a
+    barrier-free phase left outside them when a phase with a barrier
+    starts (``phase k: not strictly interior to finite bounds at the start
+    of the phase``; its trace ends where phase k - 1 ended). No failure
+    raises a RuntimeWarning: the batch runs under ``np.errstate`` with
+    overflow, invalid and divide ignored. Every chain runs in one
+    vectorised stack on the calling thread; ``threads``, an integer of at
+    least 1, is validated and changes nothing.
     ``lambda0s`` lets a batch continue from previously obtained multipliers
     (default: zeros).
     """

@@ -1,5 +1,6 @@
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import langopt.autodiff as ad
 from langopt import (
     BarrierDomainError,
     NlpProblem,
+    Solution,
     SolverConfig,
     bfgs_penalty,
     gradient_descent_cdo,
@@ -148,6 +150,16 @@ class TestBfgsPenalty:
         sol = bfgs_penalty(nlp, np.ones(2), SolverConfig(iterations=20, barrier_weight=0.0))
         assert len(sol.trace.cost) == len(sol.trace.iters)
         assert np.all(sol.trace.sigma == 0.0)
+
+    def test_a_diverging_chain_warns_nothing(self):
+        # the CLI's `run --problem toy_kkt --solver bfgs --mu 1e300 --iters 50`: the merit
+        # overflows, and the solve returns its Solution with warnings as errors
+        bundle = get_problem("toy_kkt")
+        (x0,) = bundle.guesses(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = bfgs_penalty(bundle.nlp, x0, SolverConfig(mu=1e300, iterations=50))
+        assert isinstance(sol, Solution) and len(sol.trace) >= 1
 
 
 def pendulum_x0(entry=None, value=None):

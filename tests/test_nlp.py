@@ -207,6 +207,25 @@ class TestTranscribe:
         with pytest.raises(ValueError, match=re.escape(msg)):
             dataclasses.replace(pendulum_ocp(), **{f"{field}_lower": np.array(lower), f"{field}_upper": np.array(upper)})
 
+    @pytest.mark.parametrize("field", ["u", "x"])
+    @pytest.mark.parametrize("side, value", [("lower", np.inf), ("upper", -np.inf)])
+    def test_a_pair_of_the_same_infinity_names_the_field(self, field, side, value):
+        # accepted before: the coordinate then ran unbounded, as if both bounds were absent
+        which = "a lower" if side == "lower" else "an upper"
+        index = len(getattr(pendulum_ocp(), f"{field}_lower")) - 1
+        pair = np.zeros(index + 1), np.ones(index + 1)
+        pair[0][index] = pair[1][index] = value
+        msg = f"{field}_{side}[{index}] is {value}; {which} bound is finite or {-value}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            dataclasses.replace(pendulum_ocp(), **{f"{field}_lower": pair[0], f"{field}_upper": pair[1]})
+
+    @pytest.mark.parametrize("side, value", [("lower", np.inf), ("upper", -np.inf)])
+    def test_an_nlp_pair_of_the_same_infinity_names_the_field(self, side, value):
+        which = "a lower" if side == "lower" else "an upper"
+        bounds = {"lower": [0.0, -1.0, value], "upper": [1.0, 1.0, value]}
+        with pytest.raises(ValueError, match=re.escape(f"{side}[2] is {value}; {which} bound is finite or {-value}")):
+            NlpProblem(n=3, m=0, cost=lambda x: 0.0, constraints=lambda x: x[..., :0], **bounds)
+
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)
     def test_exact_rollout_zero_defects(self, seed):

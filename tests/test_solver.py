@@ -358,6 +358,15 @@ class TestBarrier:
         with pytest.raises(BarrierDomainError):
             barrier_gradient(np.array([-2.0]), np.array([-1.0]), np.array([1.0]))
 
+    @pytest.mark.parametrize("x", [[2.0, 0.0], [0.0, -1.0], [[0.0, 0.0], [0.5, 10.0]]])
+    def test_public_drift_tests_the_domain(self, x):
+        # the kernel forms the barrier without this test; drift, a public function, keeps it
+        nlp, x = boxed_toy(-1.0, 1.0), np.array(x)
+        lam = np.zeros(x.shape[:-1] + (1,))
+        with pytest.raises(BarrierDomainError):
+            drift(nlp, x, lam, 10.0, 1e-3)
+        assert drift(nlp, x, lam, 10.0, 0.0).shape == x.shape
+
 
 def advance(nlp, X, Lam, it, phase, streams, active, box):
     """``_advance`` as ``_run_chains`` calls it, told whether every chain steps, recording into a scratch row."""
@@ -1152,6 +1161,29 @@ class TestSchedule:
         assert sol.trace.hsq.tobytes() == ref.trace.hsq[: fail_call + 1].tobytes()
         assert np.all(sol.trace.snapshot_iters <= fail_call)
         assert len(sol.trace.snapshots) == len(sol.trace.snapshot_iters)
+
+    def test_a_chain_a_barrier_free_phase_leaves_outside_fails_alone(self):
+        # phase 0 has no barrier, so it does not test x0s[1], whose first torque starts far
+        # outside [-1, 1]; phase 1 has one, and chain 1 fails when it starts
+        bundle, phases = short_schedule("pendulum")
+        phases = [dataclasses.replace(phases[0], barrier_weight=0.0), phases[1]]
+        assert phases[1].barrier_weight > 0
+        x0s = schedule_guesses(bundle, 4)
+        x0s[1][0] = 50.0
+        sols = solve_batch(bundle.nlp, x0s, phases)
+        T0 = phases[0].iterations
+        for j, (sol, x0) in enumerate(zip(sols, x0s)):
+            (solo,) = solve_batch(bundle.nlp, [x0], [dataclasses.replace(p, seed=p.seed + j) for p in phases])
+            assert_same_solution(sol, solo, same_config=False)
+            assert sol.config is phases[1]
+        sol = sols[1]
+        assert not sol.success and [s.success for s in sols] == [True, False, True, True]
+        assert sol.message == "phase 1: not strictly interior to finite bounds at the start of the phase"
+        assert len(sol.trace) == T0 and np.all(sol.trace.snapshot_iters < T0)
+        assert not sol.xbar[0] < 1.0  # its last accepted row, left outside by phase 0
+        with pytest.raises(SolveError, match="^phase 1: not strictly interior") as exc:
+            solve(bundle.nlp, x0s[1], config=[dataclasses.replace(p, seed=p.seed + 1) for p in phases])
+        assert_same_solution(exc.value.solution, sol, same_config=False)
 
     def test_rejects_bad_schedules(self):
         nlp = toy_kkt_problem()
