@@ -28,8 +28,6 @@ import numpy as np
 from . import autodiff as ad
 from .nlp import Layout, NlpProblem, OcpDefinition, join
 
-_MAX_RETRIES = 20
-
 
 def _check_int(name, v, least):
     """Reject ``v`` unless it is an integer of at least ``least``, naming the field.
@@ -563,10 +561,16 @@ def _advance(nlp, X, Lam, it, phase, streams, active, every, box, diag, t):
     without a domain test.
 
     A step that leaves the finite bounds is retried at half the time step,
-    up to ``_MAX_RETRIES`` halvings. The retries run one halving level at a
-    time for all chains still outside together; each level reads one row per
-    chain from that chain's own stream, so every chain consumes its stream
-    exactly as if it were stepped alone, and reads the bytes that one
+    halving again until it is inside. At level r the candidate is
+    ``X - (alpha/2 * 0.5**r) g + sigma * sqrt(alpha * 0.5**r) xi``, and
+    the loop always ends: a chain in it has ``X`` finite and strictly
+    inside (the invariant above) and ``g`` finite (a non-finite drift
+    fails first), and ``0.5**1075 == 0.0``, so by level 1075 the candidate
+    is ``X`` itself, up to the sign of a zero coordinate, which passes
+    :func:`_interior`. The retries run one halving level at a time for all
+    chains still outside together; each level reads one row per chain from
+    that chain's own stream, so every chain consumes its stream exactly as
+    if it were stepped alone, and reads the bytes that one
     ``standard_normal(n)`` call per draw would give. At sigma = 0 no noise is
     drawn at all, neither for the step nor for its retries, and the update
     is the plain gradient step. The barrier gradient and the bound checks
@@ -604,25 +608,15 @@ def _advance(nlp, X, Lam, it, phase, streams, active, every, box, diag, t):
         inside = _interior(Xc, box)
         if not np.logical_and.reduce(inside):
             outside = (ok & ~inside).nonzero()[0]
-            for r in range(1, _MAX_RETRIES + 1):
-                if not outside.size:
-                    break
-                scale = 0.5**r
+            scale = 1.0
+            while outside.size:
+                scale *= 0.5
                 cand = X.take(outside, axis=0) - phase.half_alpha * scale * g.take(outside, axis=0)
                 if sigma > 0:
                     cand = cand + sigma * math.sqrt(phase.alpha * scale) * streams.draw(outside)
                 inside = _interior(cand, box)
                 Xc[outside[inside]] = cand[inside]
                 outside = outside[~inside]
-            if outside.size:
-                for j in outside:
-                    failures[int(j)] = (
-                        f"barrier-domain violation persisted through {_MAX_RETRIES} "
-                        f"halved retries at iteration {it}"
-                    )
-                ok = ok.copy()
-                ok[outside] = False
-                every = False
 
     Lamn = Lam + phase.alpha_mu * h
     if every:
@@ -889,15 +883,16 @@ def solve_batch(
 
     Per-chain failures are reported on the corresponding Solution
     (``success=False``, ``config`` the phase it failed in) without aborting
-    the rest of the batch: a non-finite drift, a step that stays outside
-    the finite bounds through every halved retry, and a chain that a
-    barrier-free phase left outside them when a phase with a barrier
-    starts (``phase k: not strictly interior to finite bounds at the start
-    of the phase``; its trace ends where phase k - 1 ended). No failure
-    raises a RuntimeWarning: the batch runs under ``np.errstate`` with
-    overflow, invalid and divide ignored. Every chain runs in one
-    vectorised stack on the calling thread; ``threads``, an integer of at
-    least 1, is validated and changes nothing.
+    the rest of the batch: a non-finite drift, and a chain that a
+    barrier-free phase left outside the finite bounds when a phase with a
+    barrier starts (``phase k: not strictly interior to finite bounds at
+    the start of the phase``; its trace ends where phase k - 1 ended). A
+    step that leaves the bounds does not fail its chain: it is halved until
+    it fits (see :func:`_advance`). No failure raises a RuntimeWarning: the
+    batch runs under ``np.errstate`` with overflow, invalid and divide
+    ignored. Every chain runs in one vectorised stack on the calling
+    thread; ``threads``, an integer of at least 1, is validated and changes
+    nothing.
     ``lambda0s`` lets a batch continue from previously obtained multipliers
     (default: zeros).
     """

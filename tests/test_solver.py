@@ -34,7 +34,7 @@ from langopt import (
 from langopt import autodiff as ad
 from langopt.nlp import NlpProblem, OcpDefinition, transcribe
 from langopt.problems import PENDULUM_GUESS_BOX, get_problem, pendulum_ocp, toy_kkt_problem
-from langopt.solver import _BLOCK_ROWS, _MAX_RETRIES, _WRITE_ROWS, _Box, _Phase, _Streams, _advance
+from langopt.solver import _BLOCK_ROWS, _WRITE_ROWS, _Box, _Phase, _Streams, _advance
 
 
 def boxed_toy(lo=-10.0, hi=10.0):
@@ -451,9 +451,9 @@ def reference_advance(nlp, X, Lam, it, config, rngs, active):
     This is the straightforward form of ``_advance``: every chain draws its
     noise even at sigma = 0 (where the noise term is left out, as the
     kernel leaves it out), and a chain that leaves the box is retried at
-    halved steps on its own before the next one is looked at, and the bound
-    checks compare every coordinate. Returns the number of normal vectors
-    each chain drew as a fourth value.
+    halved steps on its own, until a step is inside, before the next one is
+    looked at, and the bound checks compare every coordinate. Returns the
+    number of normal vectors each chain drew as a fourth value.
     """
 
     def interior(x):
@@ -482,22 +482,14 @@ def reference_advance(nlp, X, Lam, it, config, rngs, active):
         Xc = Xc + (sigma * math.sqrt(alpha)) * noise
     if beta > 0:
         for j in np.nonzero(ok & ~interior(Xc))[0]:
-            for r in range(1, _MAX_RETRIES + 1):
-                scale = 0.5**r
+            scale = 1.0
+            while not interior(Xc[j : j + 1])[0]:
+                scale *= 0.5
                 draws[j] += 1
-                cand = X[j] - 0.5 * alpha * scale * g[j]
+                Xc[j] = X[j] - 0.5 * alpha * scale * g[j]
                 step_noise = rngs[j].standard_normal(n)
                 if sigma > 0:
-                    cand = cand + sigma * math.sqrt(alpha * scale) * step_noise
-                if interior(cand[None])[0]:
-                    Xc[j] = cand
-                    break
-            else:
-                failures[int(j)] = (
-                    f"barrier-domain violation persisted through {_MAX_RETRIES} "
-                    f"halved retries at iteration {it}"
-                )
-                ok[j] = False
+                    Xc[j] = Xc[j] + sigma * math.sqrt(alpha * scale) * step_noise
     Xn = np.where(ok[:, None], Xc, X)
     Lamn = np.where(ok[:, None], Lam + (alpha * mu) * h, Lam)
     return Xn, Lamn, failures, draws
@@ -570,7 +562,7 @@ class TestAdvance:
     X0 = np.array(
         [
             [0.0, 0.0],
-            [0.95, 0.0],  # thrown out by the wall at every halving
+            [0.95, 0.0],  # thrown out by the wall at more than 20 halvings
             [0.8, 0.7],
             [-0.95, 0.9],
             [0.0, 0.99],
@@ -595,7 +587,7 @@ class TestAdvance:
         mu = np.full((N, 1), cfg.mu)
         inactive_state = rngs[5].bit_generator.state
         drawn = np.zeros(N, dtype=int)
-        retried = np.zeros(N, dtype=bool)
+        deepest = np.zeros(N, dtype=int)
         all_failures = {}
         for it in range(5):
             Xr, Lamr, fr, draws = reference_advance(nlp, X, Lam, it, cfg, ref_rngs, active.copy())
@@ -605,14 +597,14 @@ class TestAdvance:
             assert failures == fr
             drawn += draws
             assert np.array_equal(streams.reads, drawn)
-            retried |= draws > 1
+            deepest = np.maximum(deepest, draws - 1)
             all_failures.update(failures)
             active[list(failures)] = False
             X, Lam = Xn, Lamn
         # the scenario covers what it is meant to cover
-        assert retried.sum() >= 3 and drawn.max() > _BLOCK_ROWS
-        assert all_failures[1].startswith(f"barrier-domain violation persisted through {_MAX_RETRIES}")
-        assert all_failures[6].startswith("non-finite drift")
+        assert (deepest > 0).sum() >= 3 and drawn.max() > _BLOCK_ROWS
+        assert deepest[1] > 20 and not np.array_equal(X[1], self.X0[1])
+        assert list(all_failures) == [6] and all_failures[6].startswith("non-finite drift")
         assert np.array_equal(X[5], self.X0[5])
         assert rngs[5].bit_generator.state == inactive_state
         # each stream continues where its generator's own calls would
@@ -639,6 +631,35 @@ class TestAdvance:
         assert Lamn.tobytes() == Lamr.tobytes()
         assert failures == fr
         assert rng_states(rngs) == before
+
+    @pytest.mark.parametrize("wall", [1e300, 1.7e308])
+    @pytest.mark.parametrize("sigma0", [0.0, 2.0])
+    def test_halving_ends_at_any_wall(self, wall, sigma0):
+        # chain 1's step fits only after about a thousand halvings, and 0.5**1075 == 0.0 ends
+        # the loop at the chain's own point; every chain steps on and equals its solo run
+        nlp = walled_box(wall)
+        cfg = SolverConfig(sigma0=sigma0, sigma_min=0.0, gamma=1.0, iterations=5, seed=4)
+        x0s = [x for j, x in enumerate(self.X0) if j != 6]  # row 6's drift is NaN
+        N = len(x0s)
+        rngs = [np.random.default_rng(cfg.seed + j) for j in range(N)]
+        draws = reference_advance(nlp, np.array(x0s), np.zeros((N, 1)), 0, cfg, rngs, np.ones(N, dtype=bool))[3]
+        assert draws[1] > 900
+        sols = solve_batch(nlp, x0s, cfg)
+        assert not np.array_equal(sols[1].xbar, x0s[1])
+        for j, (x0, sol) in enumerate(zip(x0s, sols)):
+            assert sol.success and len(sol.trace) == cfg.iterations
+            (solo,) = solve_batch(nlp, [x0], dataclasses.replace(cfg, seed=cfg.seed + j))
+            assert_same_solution(sol, solo, same_config=False)
+
+    def test_trap_step_that_fits_past_20_halvings(self):
+        # chain 3 of the trap benchmark's repetition at seed 2611000110 (hot phase): at iteration
+        # 107 its step fits only at halving 24
+        bundle = get_problem("bugtrap")
+        x0 = bundle.guess(np.random.default_rng([2611000113, 0xA5]))
+        gamma = (0.8 / 1.5) ** (1 / 150)
+        cfg = SolverConfig(seed=2611000113, sigma0=1.5, hold=110, iterations=110, gamma=gamma, sigma_min=0.8)
+        (sol,) = solve_batch(bundle.nlp, [x0], cfg)
+        assert sol.success and sol.message == "ok" and len(sol.trace) == 110
 
 
 def gapped_box(wall):
