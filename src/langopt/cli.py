@@ -5,7 +5,11 @@ JSON file (``--config``); explicit flags win over the file. The
 diffusion solver runs the problem's schedule (``ProblemBundle.phases``): a
 key that names a config field sets that field in every phase, and ``seed``
 is added to each phase's seed. ``seed`` also seeds the initial guesses,
-which is all it does for the baselines (gd, bfgs): they draw no noise. Outputs:
+which is all it does for the baselines (gd, bfgs): they draw no noise. Each
+chain's record in ``summary.json`` holds the phase it ended in (``config``)
+and the seed of its guess (``guess_seed``: ``seed + i`` for chain i of
+``run``, ``seed`` for every chain of ``sweep``), so ``bundle.guesses(1,
+guess_seed)`` and ``config`` rebuild a one-phase chain. Outputs:
 
   run:   trace_<i>.csv, snapshots_<i>.csv, summary.json
   sweep: sweep.csv (columns mu,iter,hsq), summary.json
@@ -200,7 +204,7 @@ def cmd(args) -> int:
             "phases": [asdict(c) for c in phases],
             "wall_ms": wall_ms,
             "timing_note": "wall-clock times are hardware-dependent and not an acceptance criterion",
-            "chains": [sol.summary() for sol in sols],
+            "chains": [{"guess_seed": cfg["seed"] + i, **sol.summary()} for i, sol in enumerate(sols)],
         }
     else:
         for sol in sols:  # no sweep.csv unless every trace is whole
@@ -212,7 +216,7 @@ def cmd(args) -> int:
         keys = {
             "mus": mus,
             "wall_ms": wall_ms,
-            "chains": [{"mu": mu, **sol.summary()} for mu, sol in zip(mus, sols)],
+            "chains": [{"mu": mu, "guess_seed": cfg["seed"], **sol.summary()} for mu, sol in zip(mus, sols)],
         }
     with open(out / "summary.json", "w") as f:
         json.dump({"problem": cfg["problem"], "solver": cfg["solver"], **keys}, f, indent=2)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -277,6 +277,7 @@ class Solution:
     message: str = "ok"
 
     def summary(self) -> dict:
+        """The Solution as JSON-ready data; ``config``'s numpy numbers become Python numbers."""
         cfg = {**self.config.__dict__, "gamma": _decay_rate(self.config)}  # the rate used
         return {
             "xbar": [float(v) for v in self.xbar],
@@ -286,7 +287,7 @@ class Solution:
             "duration_ms": float(self.duration_ms),
             "success": bool(self.success),
             "message": self.message,
-            "config": cfg,
+            "config": {k: v.item() if isinstance(v, np.generic) else v for k, v in cfg.items()},
         }
 
 
@@ -550,15 +551,15 @@ def _advance(nlp, X, Lam, it, phase, streams, active, every, box, diag, t):
     The common case is straight-line: one finiteness test of the whole
     drift and, with a barrier, one interiority test of the whole step decide
     it, and per-chain masks are formed only when one of them fails or a
-    chain is inactive. Without finite bounds (``box.cols`` is None) that
-    interiority test is one finiteness test of the whole step, and the
-    per-chain test runs only when it fails. While every chain steps, the
-    noise is one all-chain read, added in place.
+    chain is inactive. Without finite bounds (``box.cols`` is None) a step
+    is not tested, as in a barrier-free phase: a chain whose step
+    overflowed fails at its next drift, with a non-finite drift. While every
+    chain steps, the noise is one all-chain read, added in place.
 
-    With a barrier, every active row of ``X`` is strictly inside the box
-    (the caller's invariant), and every step or retry the kernel accepts
-    passed :func:`_interior`, so the next iteration's barrier is formed
-    without a domain test.
+    With a barrier and finite bounds, every active row of ``X`` is strictly
+    inside the box (the caller's invariant), and every step or retry the
+    kernel accepts passed :func:`_interior`, so the next iteration's barrier
+    is formed without a domain test.
 
     A step that leaves the finite bounds is retried at half the time step,
     halving again until it is inside. At level r the candidate is
@@ -603,8 +604,7 @@ def _advance(nlp, X, Lam, it, phase, streams, active, every, box, diag, t):
             idx = ok.nonzero()[0]
             Xc[idx] += scale * streams.draw(idx)
 
-    # without finite bounds a step is inside when it is finite: one whole-stack test decides that
-    if phase.beta > 0 and not (box.cols is None and np.logical_and.reduce(np.isfinite(Xc), axis=None)):
+    if phase.beta > 0 and box.cols is not None:
         inside = _interior(Xc, box)
         if not np.logical_and.reduce(inside):
             outside = (ok & ~inside).nonzero()[0]
@@ -625,20 +625,20 @@ def _advance(nlp, X, Lam, it, phase, streams, active, every, box, diag, t):
 
 
 def _schedules(config, N):
-    """Each chain's schedule (a tuple of phases) and the ``(N, P)`` seeds its phases draw from.
+    """Each chain's schedule: the tuple of phases chain j runs, its noise seeds included.
 
     ``config`` is one ``SolverConfig`` (a one-phase schedule), a schedule
-    shared by every chain, whose chain j draws from each phase's seed + j,
-    or a sequence of N schedules, one per chain, whose seeds are used as given.
+    shared by every chain, whose chain j runs each phase ``p`` as
+    ``replace(p, seed=p.seed + j)``, or a sequence of N schedules, one per
+    chain, whose phases are run as given. The input is validated once.
     """
     if config is None:
         config = SolverConfig()
     seqs = (list, tuple)
     shared = not (isinstance(config, seqs) and config and isinstance(config[0], seqs))
-    given = [config] * N if shared else list(config)
-    if len(given) != N:
-        raise ValueError(f"config holds {len(given)} schedules for {N} chains")
-    scheds = [tuple(s) if isinstance(s, seqs) else (s,) for s in given]
+    scheds = [tuple(s) if isinstance(s, seqs) else (s,) for s in ([config] if shared else config)]
+    if not shared and len(scheds) != N:
+        raise ValueError(f"config holds {len(scheds)} schedules for {N} chains")
     for j, phases in enumerate(scheds):
         if not phases:
             raise ValueError("config must hold at least one phase")
@@ -656,8 +656,9 @@ def _schedules(config, N):
                         f"schedule {j} phase {k}: {name} differs from schedule 0; "
                         "chains' schedules may differ only in mu and seed"
                     )
-    seeds = [[p.seed + (j if shared else 0) for p in s] for j, s in enumerate(scheds)]
-    return scheds, np.array(seeds, dtype=object)
+    if shared:
+        scheds = [tuple(replace(p, seed=p.seed + j) for p in scheds[0]) for j in range(N)]
+    return scheds
 
 
 # Rows of the energy formed per operation: the pass then needs one temporary
@@ -678,23 +679,26 @@ def _form_energy(vv, hsq):
         e += 0.5 * hsq[a : a + _ENERGY_ROWS]
 
 
-def _run_chains(nlp, box, X0, Lam0, scheds, seeds):
+def _run_chains(nlp, box, X0, Lam0, scheds):
     """Iterate the kernel through every phase for a stack of chains, recording traces.
 
     Chain j runs schedule ``scheds[j]`` and draws phase k's noise from seed
-    ``seeds[j, k]``; ``box`` is ``nlp``'s :class:`_Box`. The kernel reads
-    every parameter but ``mu`` from ``scheds[0]``, which the others match.
+    ``scheds[j][k].seed``; ``box`` is ``nlp``'s :class:`_Box`. The kernel
+    reads every parameter but ``mu`` and ``seed`` from ``scheds[0]``, which
+    the others match.
     Iterations are numbered continuously across phases, and snapshots follow
     each phase's own stride from the phase's first iteration. A chain that
     fails is not run in later phases; its trace ends at the failure.
 
-    During a phase with a barrier (``barrier_weight > 0``), every active
-    row of ``X`` is strictly inside the box: :func:`_drift` relies on it.
-    The caller checks the initial points for phase 0, and the kernel
-    accepts only steps that pass :func:`_interior`. A barrier-free phase
-    does not test its steps, so each later barrier phase tests its active
-    chains once when it starts; a chain outside fails there, its trace
-    ending where the previous phase ended.
+    During a phase with a barrier (``barrier_weight > 0``) on a problem
+    with finite bounds, every active row of ``X`` is strictly inside the
+    box: :func:`_drift` relies on it. The caller checks the initial points
+    for phase 0, and the kernel accepts only steps that pass
+    :func:`_interior`. A barrier-free phase does not test its steps, so each
+    later barrier phase tests its active chains once when it starts; a
+    chain outside fails there, its trace ending where the previous phase
+    ended. Without finite bounds the barrier reads no coordinate, and no
+    step is tested.
 
     Every chain runs ``scheds[0]``'s phases, so the iteration and σ columns
     are the same for all: each trace's ``iters`` and ``sigma`` are read-only
@@ -744,7 +748,7 @@ def _run_chains(nlp, box, X0, Lam0, scheds, seeds):
                 every = False
                 if not active.any():
                     break
-        streams = _Streams([np.random.default_rng(int(seed)) for seed in seeds[:, k]], n)
+        streams = _Streams([np.random.default_rng(sched[k].seed) for sched in scheds], n)
         phase = _Phase(config, np.array([[sched[k].mu] for sched in scheds], dtype=float))
         sigma[start : start + config.iterations] = phase.sigma
         for i in range(config.iterations):
@@ -843,7 +847,7 @@ def solve(
     :class:`SolveError` with that Solution attached, and that a bad ``x0``
     is named ``x0``.
     """
-    scheds, _ = _schedules(config, 1)
+    scheds = _schedules(config, 1)
     _initial_points(nlp, [x0], scheds[0][0].barrier_weight, alone=True)
     (sol,) = solve_batch(nlp, [x0], config, lambda0s=None if lambda0 is None else [lambda0])
     if not sol.success:
@@ -867,10 +871,13 @@ def solve_batch(
     schedules may differ only in ``mu`` and ``seed``; any other mismatch is
     a ValueError naming the schedule, the phase and the field.
 
-    Chain j draws phase k's noise from ``seeds[j, k]``: ``phases[k].seed +
-    j`` for a shared schedule, its own phase's seed for per-chain ones. So
-    chain j equals its solo run ``solve_batch(nlp, [x0s[j]], schedule_j)``
-    by bytes, and a schedule equals one call per phase that passes each
+    Chain j of a shared schedule runs phase k as ``replace(phases[k],
+    seed=phases[k].seed + j)``; a chain of per-chain schedules runs its own
+    phases as given. Each chain draws phase k's noise from the seed of the
+    phase it runs, and its Solution's ``config`` is that phase (its last,
+    or the one it failed in). So chain j equals its solo run
+    ``solve_batch(nlp, [x0s[j]], schedule_j)`` as a whole Solution, bytes
+    and config, and a schedule equals one call per phase that passes each
     chain's ``xbar`` and ``lam`` on (as ``x0s`` and ``lambda0s``), with the
     trace numbered continuously.
 
@@ -901,7 +908,7 @@ def solve_batch(
     if not x0s:
         raise ValueError("x0s is empty: a batch needs at least one initial point")
     N = len(x0s)
-    scheds, seeds = _schedules(config, N)
+    scheds = _schedules(config, N)
     X0 = _initial_points(nlp, x0s, scheds[0][0].barrier_weight)
     box = _Box(nlp.lower, nlp.upper)
     Lam0 = np.zeros((N, nlp.m)) if lambda0s is None else _stack_entries("lambda0s", lambda0s, (N, nlp.m))
@@ -910,7 +917,7 @@ def solve_batch(
     # errstate for the whole batch, since entering one per iteration costs the kernel time
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t0 = time.perf_counter()
-        X, Lam, chains = _run_chains(nlp, box, X0, Lam0, scheds, seeds)
+        X, Lam, chains = _run_chains(nlp, box, X0, Lam0, scheds)
         dt_ms = (time.perf_counter() - t0) * 1e3
         # evaluated once on the final stack; a constant broadcasts
         hsq = np.broadcast_to(nlp.constraint_violation(X), (N,))

@@ -47,6 +47,20 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["batch"] == 3
 
+    def test_record_rebuilds_a_chain(self, tmp_path):
+        # chain 2 of a batch, rebuilt as a one-chain solve from its summary.json record alone
+        args, out = run_args(tmp_path, "--batch", "3", "--iters", "200")
+        assert main(args) == 0
+        chains = json.loads((out / "summary.json").read_text())["chains"]
+        assert [c["config"]["seed"] for c in chains] == [c["guess_seed"] for c in chains] == [0, 1, 2]
+        rec = chains[2]
+        bundle = get_problem("toy_kkt")
+        (sol,) = solve_batch(bundle.nlp, bundle.guesses(1, rec["guess_seed"]), SolverConfig(**rec["config"]))
+        for name, write in (("trace", sol.trace.to_csv), ("snapshots", sol.trace.snapshots_to_csv)):
+            buf = io.StringIO()
+            write(buf)
+            assert (out / f"{name}_2.csv").read_bytes() == buf.getvalue().encode()
+
     def test_rerun_byte_identical(self, tmp_path):
         args1, out1 = run_args(tmp_path, "--seed", "5")
         main(args1)
@@ -201,7 +215,8 @@ class TestFlagsEqualFile:
 
             summaries = [json.loads((tmp / d / "summary.json").read_text()) for d in ("flags", "file")]
             assert without_times(summaries[0]) == without_times(summaries[1])
-            direct = json.loads(json.dumps({**summaries[0], "chains": [s.summary() for s in sols]}))
+            chains = [{"guess_seed": seed + i, **s.summary()} for i, s in enumerate(sols)]
+            direct = json.loads(json.dumps({**summaries[0], "chains": chains}))
             assert without_times(direct) == without_times(summaries[0])
             for i, sol in enumerate(sols):
                 for name, write in (("trace", sol.trace.to_csv), ("snapshots", sol.trace.snapshots_to_csv)):

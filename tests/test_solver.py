@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import gc
 import io
+import json
 import math
 import pickle
 import re
@@ -63,6 +64,17 @@ class TestConfig:
         sol = solve(toy_kkt_problem(), np.ones(2), config=replaced)
         # summary.json reports the rate the run used: the floor at 80% of the 900 post-hold steps
         assert sol.summary()["config"]["gamma"] == pytest.approx((1e-4 / 0.1) ** (1 / 720), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "field, value", [("seed", np.int64(3)), ("iterations", np.int32(5)), ("mu", np.float32(2.0))]
+    )
+    def test_summary_writes_plain_numbers(self, field, value):
+        # a numpy number in the config is written as the Python number it holds
+        def record(v):
+            cfg = SolverConfig(**{"iterations": 5, "snapshot_stride": 2, field: v})
+            return json.loads(json.dumps(solve(toy_kkt_problem(), np.ones(2), config=cfg).summary()))["config"]
+
+        assert record(value) == record(value.item())
 
     def test_explicit_gamma_kept(self):
         cfg = SolverConfig(gamma=0.5)
@@ -649,7 +661,7 @@ class TestAdvance:
         for j, (x0, sol) in enumerate(zip(x0s, sols)):
             assert sol.success and len(sol.trace) == cfg.iterations
             (solo,) = solve_batch(nlp, [x0], dataclasses.replace(cfg, seed=cfg.seed + j))
-            assert_same_solution(sol, solo, same_config=False)
+            assert_same_solution(sol, solo)
 
     def test_trap_step_that_fits_past_20_halvings(self):
         # chain 3 of the trap benchmark's repetition at seed 2611000110 (hot phase): at iteration
@@ -1098,15 +1110,14 @@ def schedule_guesses(bundle, n):
     return [bundle.guess(np.random.default_rng([s, 0xA5])) for s in range(n)]
 
 
-def assert_same_solution(a, b, same_config=True):
+def assert_same_solution(a, b):
     for name in ("xbar", "lam"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
     for name in ("iters", "cost", "hsq", "energy", "sigma", "snapshot_iters", "snapshots"):
         x, y = getattr(a.trace, name), getattr(b.trace, name)
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
     assert (a.success, a.message) == (b.success, b.message)
-    if same_config:
-        assert a.config == b.config
+    assert a.config == b.config
 
 
 class TestSchedule:
@@ -1120,8 +1131,8 @@ class TestSchedule:
             bundle.nlp, [s.xbar for s in first], phases[1], lambda0s=[s.lam for s in first]
         )
         T0 = phases[0].iterations
-        for sol, a, b in zip(sols, first, second):
-            assert sol.success and sol.config is phases[1]
+        for j, (sol, a, b) in enumerate(zip(sols, first, second)):
+            assert sol.success and sol.config == dataclasses.replace(phases[1], seed=phases[1].seed + j)
             assert sol.xbar.tobytes() == b.xbar.tobytes()
             assert sol.lam.tobytes() == b.lam.tobytes()
             assert np.array_equal(sol.trace.iters, np.arange(T0 + phases[1].iterations))
@@ -1177,7 +1188,7 @@ class TestSchedule:
         sol, ref = sols[victim], clean[victim]
         assert not sol.success
         assert sol.message == f"phase {phase}: non-finite drift at iteration {it}"
-        assert sol.config is phases[phase]
+        assert sol.config == dataclasses.replace(phases[phase], seed=phases[phase].seed + victim)
         assert len(sol.trace) == fail_call + 1  # ends with the failing iteration's pre-step record
         assert sol.trace.hsq.tobytes() == ref.trace.hsq[: fail_call + 1].tobytes()
         assert np.all(sol.trace.snapshot_iters <= fail_call)
@@ -1195,8 +1206,8 @@ class TestSchedule:
         T0 = phases[0].iterations
         for j, (sol, x0) in enumerate(zip(sols, x0s)):
             (solo,) = solve_batch(bundle.nlp, [x0], [dataclasses.replace(p, seed=p.seed + j) for p in phases])
-            assert_same_solution(sol, solo, same_config=False)
-            assert sol.config is phases[1]
+            assert_same_solution(sol, solo)
+            assert sol.config == dataclasses.replace(phases[1], seed=phases[1].seed + j)
         sol = sols[1]
         assert not sol.success and [s.success for s in sols] == [True, False, True, True]
         assert sol.message == "phase 1: not strictly interior to finite bounds at the start of the phase"
@@ -1204,7 +1215,7 @@ class TestSchedule:
         assert not sol.xbar[0] < 1.0  # its last accepted row, left outside by phase 0
         with pytest.raises(SolveError, match="^phase 1: not strictly interior") as exc:
             solve(bundle.nlp, x0s[1], config=[dataclasses.replace(p, seed=p.seed + 1) for p in phases])
-        assert_same_solution(exc.value.solution, sol, same_config=False)
+        assert_same_solution(exc.value.solution, sol)
 
     def test_rejects_bad_schedules(self):
         nlp = toy_kkt_problem()
@@ -1294,9 +1305,8 @@ class TestPerChainSchedules:
         shared = solve_batch(bundle.nlp, x0s, phases)
         scheds = [[dataclasses.replace(p, seed=p.seed + j) for p in phases] for j in range(3)]
         own = solve_batch(bundle.nlp, x0s, scheds)
-        for j, (a, b) in enumerate(zip(shared, own)):
-            assert_same_solution(a, b, same_config=False)
-            assert b.config == dataclasses.replace(a.config, seed=a.config.seed + j)
+        for a, b in zip(shared, own):
+            assert_same_solution(a, b)
 
     @pytest.mark.parametrize(
         "change, match",
