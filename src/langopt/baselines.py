@@ -78,7 +78,10 @@ def bfgs_penalty(
     Reads ``mu``, ``barrier_weight`` (beta), ``iterations`` and
     ``snapshot_stride`` of ``config``, and stops early once the merit
     gradient norm reaches ``_GRAD_TOL``. The Solution records ``config``
-    with its noise zeroed. ``x0`` is checked as :func:`solve` checks it.
+    with its noise zeroed. ``x0`` is checked as :func:`solve` checks it,
+    and every iterate stays strictly inside the finite bounds at any
+    ``barrier_weight``: the line search backtracks from a trial point
+    outside them.
     The trace's ``energy`` is ``1/2 ||grad m||^2 + 1/2 ||h||^2`` of the
     merit ``m`` above: it includes the barrier term and no multipliers,
     unlike the kernel's, whose ``v`` includes lambda and leaves the barrier
@@ -87,7 +90,7 @@ def bfgs_penalty(
     RuntimeWarning.
     """
     config = _noise_free(config)
-    (x,) = _initial_points(nlp, [x0], config.barrier_weight, alone=True)
+    (x,) = _initial_points(nlp, [x0], alone=True)
 
     # a diverging chain fails with a message, as in solve_batch, not with numpy's RuntimeWarnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -148,7 +151,7 @@ def _bfgs_loop(nlp, x, config):
         gp = float(g @ p)
         for _ in range(_MAX_LINE_SEARCH):
             cand = x + t * p
-            if beta > 0 and not _interior(cand[None], box)[0]:
+            if not _interior(cand[None], box)[0]:
                 t *= _BACKTRACK
                 continue
             m_new, g_new, hsq_new, c_new = _merit_and_gradient(nlp, cand, mu, beta)

@@ -5,11 +5,15 @@ JSON file (``--config``); explicit flags win over the file. The
 diffusion solver runs the problem's schedule (``ProblemBundle.phases``): a
 key that names a config field sets that field in every phase, and ``seed``
 is added to each phase's seed. ``seed`` also seeds the initial guesses,
-which is all it does for the baselines (gd, bfgs): they draw no noise. Each
-chain's record in ``summary.json`` holds the phase it ended in (``config``)
-and the seed of its guess (``guess_seed``: ``seed + i`` for chain i of
-``run``, ``seed`` for every chain of ``sweep``), so ``bundle.guesses(1,
-guess_seed)`` and ``config`` rebuild a one-phase chain. Outputs:
+which is all it does for the baselines (gd, bfgs): they draw no noise.
+``summary.json`` holds the phases run (``phases``, with ``mu`` as given
+for ``run``; a sweep's chain runs them at its own ``mu``), and each
+chain's record holds the phase it ended in (``config``) and the seed of
+its guess (``guess_seed``: ``seed + i`` for chain i of ``run``, ``seed``
+for every chain of ``sweep``). So ``bundle.guesses(1, guess_seed)`` and
+the phases rebuild any chain: chain i of ``run`` runs each phase at its
+seed plus i, chain i of ``sweep`` runs them as recorded at ``mus[i]``.
+Outputs:
 
   run:   trace_<i>.csv, snapshots_<i>.csv, summary.json
   sweep: sweep.csv (columns mu,iter,hsq), summary.json
@@ -215,6 +219,7 @@ def cmd(args) -> int:
                 sol.trace._write_rows(f, ("iters", "hsq"), repr(mu))
         keys = {
             "mus": mus,
+            "phases": [asdict(c) for c in phases],
             "wall_ms": wall_ms,
             "chains": [{"mu": mu, "guess_seed": cfg["seed"], **sol.summary()} for mu, sol in zip(mus, sols)],
         }

@@ -6,8 +6,10 @@ The sampler simulates the coupled SDE
     dlam = mu h(x) dt
 
 with Euler-Maruyama discretization, a geometrically decaying noise level, and
-a log-barrier keeping iterates strictly inside finite bounds. The drift is the
-gradient of the augmented-Lagrangian merit c + lam^T h + (mu/2)||h||^2, so the
+a log-barrier term in the drift that pushes iterates away from finite bounds.
+Every iterate is strictly inside those bounds at any barrier weight: a step
+that would leave them is halved until it fits. The drift is the gradient of
+the augmented-Lagrangian merit c + lam^T h + (mu/2)||h||^2, so the
 deterministic limit (sigma = 0) is plain constrained differential optimization.
 
 Chains are vectorized internally: the engine advances a stack of independent
@@ -400,9 +402,9 @@ def _drift(nlp, X, Lam, mu, beta, box):
     (1/inf - 1/inf). At ``beta = 0``, ``g`` is ``v`` and ``box`` is not read.
 
     The barrier is formed without a domain test: the kernel keeps every
-    active row of ``X`` strictly inside the box while ``beta > 0`` (see
-    :func:`_run_chains`), so the test of :func:`barrier_gradient` could not
-    fail. An inactive row may lie outside; its drift is never used.
+    row of ``X`` strictly inside the box in every phase (see
+    :func:`_advance`), so the test of :func:`barrier_gradient` could not
+    fail.
     """
     h, vjp = nlp.constraints_with_vjp(X)
     c, cg = nlp.cost_and_gradient(X)
@@ -548,35 +550,35 @@ def _advance(nlp, X, Lam, it, phase, streams, active, every, box, diag, t):
     for chains that died this iteration. Inactive chains are left untouched
     and draw no noise.
 
-    The common case is straight-line: one finiteness test of the whole
-    drift and, with a barrier, one interiority test of the whole step decide
-    it, and per-chain masks are formed only when one of them fails or a
-    chain is inactive. Without finite bounds (``box.cols`` is None) a step
-    is not tested, as in a barrier-free phase: a chain whose step
-    overflowed fails at its next drift, with a non-finite drift. While every
-    chain steps, the noise is one all-chain read, added in place.
-
-    With a barrier and finite bounds, every active row of ``X`` is strictly
-    inside the box (the caller's invariant), and every step or retry the
-    kernel accepts passed :func:`_interior`, so the next iteration's barrier
-    is formed without a domain test.
+    Every row of ``X`` is finite and strictly inside the box, whatever
+    ``barrier_weight`` is: the caller checks the initial points, and the
+    kernel accepts only steps that pass its test, keeping a failing chain at
+    its last accepted point. So :func:`_drift` forms the barrier without a
+    domain test. Each step is tested once, over the whole stack: with finite
+    bounds by :func:`_interior`, without them (``box.cols`` is None) by one
+    finiteness test of every entry. The drift is looked at only for the
+    active rows that fail it: a non-finite drift fails its chain; a finite
+    drift with a box is halved until it fits (below); a finite drift
+    without a box fails its chain with a non-finite step. Per-chain masks
+    are formed only when a step fails its test or a chain is inactive.
+    While every chain steps, the noise is one all-chain read, added in
+    place; an active chain reads its row even when its step then fails.
 
     A step that leaves the finite bounds is retried at half the time step,
     halving again until it is inside. At level r the candidate is
     ``X - (alpha/2 * 0.5**r) g + sigma * sqrt(alpha * 0.5**r) xi``, and
     the loop always ends: a chain in it has ``X`` finite and strictly
-    inside (the invariant above) and ``g`` finite (a non-finite drift
-    fails first), and ``0.5**1075 == 0.0``, so by level 1075 the candidate
-    is ``X`` itself, up to the sign of a zero coordinate, which passes
-    :func:`_interior`. The retries run one halving level at a time for all
-    chains still outside together; each level reads one row per chain from
-    that chain's own stream, so every chain consumes its stream exactly as
-    if it were stepped alone, and reads the bytes that one
-    ``standard_normal(n)`` call per draw would give. At sigma = 0 no noise is
-    drawn at all, neither for the step nor for its retries, and the update
-    is the plain gradient step. The barrier gradient and the bound checks
-    cover ``box``'s span only; every other coordinate gets the barrier's
-    exact ``+ 0.0``.
+    inside (the invariant above) and ``g`` finite, and ``0.5**1075 ==
+    0.0``, so by level 1075 the candidate is ``X`` itself, up to the sign
+    of a zero coordinate, which passes :func:`_interior`. The retries run
+    one halving level at a time for all chains still outside together; each
+    level reads one row per chain from that chain's own stream, so every
+    chain consumes its stream exactly as if it were stepped alone, and
+    reads the bytes that one ``standard_normal(n)`` call per draw would
+    give. At sigma = 0 no noise is drawn at all, neither for the step nor
+    for its retries, and the update is the plain gradient step. The barrier
+    gradient and the bound checks cover ``box``'s span only; every other
+    coordinate gets the barrier's exact ``+ 0.0``.
     """
     sigma = phase.sigma[it]
     c, h, v, g = _drift(nlp, X, Lam, phase.mu, phase.beta, box)
@@ -584,30 +586,28 @@ def _advance(nlp, X, Lam, it, phase, streams, active, every, box, diag, t):
     np.add.reduce(h * h, axis=-1, out=diag[1][t])
     np.add.reduce(v * v, axis=-1, out=diag[2][t])
 
-    failures = {}
-    ok = active
-    finite = np.isfinite(g)
-    if not np.logical_and.reduce(finite, axis=None):
-        bad = ~np.logical_and.reduce(finite, axis=-1)
-        for j in (active & bad).nonzero()[0]:
-            failures[int(j)] = f"non-finite drift at iteration {it}"
-        ok = active & ~bad
-        every = False
-        g = np.where(bad[:, None], 0.0, g)  # their step is discarded; with g, inf - inf would warn
-
     Xc = X - phase.half_alpha * g
     if sigma > 0:
         scale = sigma * phase.sqrt_alpha
         if every:
             Xc += scale * streams.draw(None)
         else:
-            idx = ok.nonzero()[0]
+            idx = active.nonzero()[0]
             Xc[idx] += scale * streams.draw(idx)
 
-    if phase.beta > 0 and box.cols is not None:
-        inside = _interior(Xc, box)
-        if not np.logical_and.reduce(inside):
-            outside = (ok & ~inside).nonzero()[0]
+    failures = {}
+    ok = active
+    inside = None if box.cols is None else _interior(Xc, box)
+    if not np.logical_and.reduce(np.isfinite(Xc) if inside is None else inside, axis=None):
+        rejected = (active & ~(_interior(Xc, box) if inside is None else inside)).nonzero()[0]
+        finite = np.logical_and.reduce(np.isfinite(g[rejected]), axis=-1)
+        for j in rejected[~finite]:
+            failures[int(j)] = f"non-finite drift at iteration {it}"
+        outside = rejected[finite]
+        if box.cols is None:  # no box to halve into: the step overflowed
+            for j in outside:
+                failures[int(j)] = f"non-finite step at iteration {it}"
+        else:
             scale = 1.0
             while outside.size:
                 scale *= 0.5
@@ -617,6 +617,10 @@ def _advance(nlp, X, Lam, it, phase, streams, active, every, box, diag, t):
                 inside = _interior(cand, box)
                 Xc[outside[inside]] = cand[inside]
                 outside = outside[~inside]
+        if failures:
+            ok = active.copy()
+            ok[list(failures)] = False
+            every = False
 
     Lamn = Lam + phase.alpha_mu * h
     if every:
@@ -690,15 +694,10 @@ def _run_chains(nlp, box, X0, Lam0, scheds):
     each phase's own stride from the phase's first iteration. A chain that
     fails is not run in later phases; its trace ends at the failure.
 
-    During a phase with a barrier (``barrier_weight > 0``) on a problem
-    with finite bounds, every active row of ``X`` is strictly inside the
-    box: :func:`_drift` relies on it. The caller checks the initial points
-    for phase 0, and the kernel accepts only steps that pass
-    :func:`_interior`. A barrier-free phase does not test its steps, so each
-    later barrier phase tests its active chains once when it starts; a
-    chain outside fails there, its trace ending where the previous phase
-    ended. Without finite bounds the barrier reads no coordinate, and no
-    step is tested.
+    In every phase, whatever its ``barrier_weight``, every row of ``X`` is
+    finite and strictly inside the finite bounds: the caller checks
+    ``X0``, and :func:`_advance` accepts no step that leaves them, so a
+    phase starts from points that the previous one accepted.
 
     Every chain runs ``scheds[0]``'s phases, so the iteration and σ columns
     are the same for all: each trace's ``iters`` and ``sigma`` are read-only
@@ -737,17 +736,6 @@ def _run_chains(nlp, box, X0, Lam0, scheds):
     snapped = 0
 
     for k, (start, config) in enumerate(zip(starts, phases)):
-        if config.barrier_weight > 0:
-            # a barrier-free phase before this one may have left a chain outside the box
-            outside = (active & ~_interior(X, box)).nonzero()[0]
-            for j in outside:
-                msg = f"phase {k}: not strictly interior to finite bounds at the start of the phase"
-                failed[int(j)] = (start, msg, scheds[j][k])
-            if outside.size:
-                active[outside] = False
-                every = False
-                if not active.any():
-                    break
         streams = _Streams([np.random.default_rng(sched[k].seed) for sched in scheds], n)
         phase = _Phase(config, np.array([[sched[k].mu] for sched in scheds], dtype=float))
         sigma[start : start + config.iterations] = phase.sigma
@@ -808,14 +796,15 @@ def _stack_entries(name, entries, shape):
     return out
 
 
-def _initial_points(nlp, x0s, barrier_weight, alone=False):
+def _initial_points(nlp, x0s, alone=False):
     """The initial points ``x0s`` as an ``(N, nlp.n)`` stack, checked before any step.
 
-    A point of the wrong shape raises a ValueError. With a barrier
-    (``barrier_weight > 0``), a point with a non-finite entry, or one not
-    strictly inside the finite bounds, raises a BarrierDomainError. Each
-    message names the first bad point: ``x0s[j]``, or ``x0`` when ``alone``
-    (``x0s`` then holds the one point a caller was given).
+    A point of the wrong shape raises a ValueError. A point with a
+    non-finite entry, or one not strictly inside the finite bounds, raises
+    a BarrierDomainError at any barrier weight, since the kernel keeps every
+    point finite and inside in every phase. Each message names the first
+    bad point: ``x0s[j]``, or ``x0`` when ``alone`` (``x0s`` then holds the
+    one point a caller was given).
     """
     if alone:
         X0 = np.array(x0s[0], dtype=float)[None]
@@ -823,14 +812,13 @@ def _initial_points(nlp, x0s, barrier_weight, alone=False):
             raise ValueError(f"x0 has shape {X0.shape[1:]}, expected ({nlp.n},)")
     else:
         X0 = _stack_entries("x0s", x0s, (len(x0s), nlp.n))
-    if barrier_weight > 0:
-        inside = _interior(X0, _Box(nlp.lower, nlp.upper))
-        if not inside.all():
-            j = int(np.nonzero(~inside)[0][0])
-            name = "x0" if alone else f"x0s[{j}]"
-            if not np.isfinite(X0[j]).all():
-                raise BarrierDomainError(f"{name} has a non-finite entry")
-            raise BarrierDomainError(f"{name} is not strictly interior to finite bounds")
+    inside = _interior(X0, _Box(nlp.lower, nlp.upper))
+    if not inside.all():
+        j = int(np.nonzero(~inside)[0][0])
+        name = "x0" if alone else f"x0s[{j}]"
+        if not np.isfinite(X0[j]).all():
+            raise BarrierDomainError(f"{name} has a non-finite entry")
+        raise BarrierDomainError(f"{name} is not strictly interior to finite bounds")
     return X0
 
 
@@ -847,8 +835,7 @@ def solve(
     :class:`SolveError` with that Solution attached, and that a bad ``x0``
     is named ``x0``.
     """
-    scheds = _schedules(config, 1)
-    _initial_points(nlp, [x0], scheds[0][0].barrier_weight, alone=True)
+    _initial_points(nlp, [x0], alone=True)
     (sol,) = solve_batch(nlp, [x0], config, lambda0s=None if lambda0 is None else [lambda0])
     if not sol.success:
         raise SolveError(sol.message, solution=sol)
@@ -888,18 +875,21 @@ def solve_batch(
     while it runs, it also holds one noise block of its current phase, if
     that phase draws noise.
 
+    An initial point that is not finite or not strictly inside the finite
+    bounds raises a BarrierDomainError, at any barrier weight. Every
+    iterate then stays finite and strictly inside them in every phase, a
+    barrier-free one included: a step that leaves the bounds does not fail
+    its chain but is halved until it fits (see :func:`_advance`).
     Per-chain failures are reported on the corresponding Solution
     (``success=False``, ``config`` the phase it failed in) without aborting
-    the rest of the batch: a non-finite drift, and a chain that a
-    barrier-free phase left outside the finite bounds when a phase with a
-    barrier starts (``phase k: not strictly interior to finite bounds at
-    the start of the phase``; its trace ends where phase k - 1 ended). A
-    step that leaves the bounds does not fail its chain: it is halved until
-    it fits (see :func:`_advance`). No failure raises a RuntimeWarning: the
-    batch runs under ``np.errstate`` with overflow, invalid and divide
-    ignored. Every chain runs in one vectorised stack on the calling
-    thread; ``threads``, an integer of at least 1, is validated and changes
-    nothing.
+    the rest of the batch: a non-finite drift (``non-finite drift at
+    iteration i``), and, on a problem without finite bounds, a step to a
+    non-finite point (``non-finite step at iteration i``). A failed chain's
+    ``xbar`` is its last accepted point. No failure raises a
+    RuntimeWarning: the batch runs under ``np.errstate`` with overflow,
+    invalid and divide ignored. Every chain runs in one vectorised stack on
+    the calling thread; ``threads``, an integer of at least 1, is validated
+    and changes nothing.
     ``lambda0s`` lets a batch continue from previously obtained multipliers
     (default: zeros).
     """
@@ -909,7 +899,7 @@ def solve_batch(
         raise ValueError("x0s is empty: a batch needs at least one initial point")
     N = len(x0s)
     scheds = _schedules(config, N)
-    X0 = _initial_points(nlp, x0s, scheds[0][0].barrier_weight)
+    X0 = _initial_points(nlp, x0s)
     box = _Box(nlp.lower, nlp.upper)
     Lam0 = np.zeros((N, nlp.m)) if lambda0s is None else _stack_entries("lambda0s", lambda0s, (N, nlp.m))
 

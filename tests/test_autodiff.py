@@ -87,6 +87,19 @@ class TestDualArithmetic:
         assert np.isclose((3.0 / x).eps[0], -0.75)
         assert np.isclose((3.0 * x).eps[0], 3.0)
 
+    def test_negation(self):
+        y = -Dual(np.array([2.0, -3.0]), np.eye(2))
+        assert np.array_equal(y.val, [-2.0, 3.0]) and np.array_equal(y.eps, -np.eye(2))
+
+    def test_comparisons_look_at_values_only(self):
+        x = Dual(np.array([1.0, 2.0]), np.eye(2))
+        y = Dual(np.array([2.0, 2.0]), 5.0 * np.eye(2))
+        assert np.array_equal(x < y, [True, False]) and np.array_equal(x <= y, [True, True])
+        assert np.array_equal(x > 1.0, [False, True]) and np.array_equal(x >= 2.0, [False, True])
+
+    def test_repr_names_the_value_and_the_tangent_count(self):
+        assert repr(Dual(np.array([1.5]), np.ones((3, 1)))) == "Dual(val=array([1.5]), tangents=3)"
+
     def test_stack_and_sum(self):
         x = ad.seed(np.array([1.0, 2.0]))
         y = ad.stack([x[..., 0] * 2.0, x[..., 1] ** 2.0], axis=-1)
@@ -165,6 +178,13 @@ class TestGradient:
     def test_method_validation(self):
         with pytest.raises(ValueError):
             FiniteDifference(step=0.0)
+        with pytest.raises(TypeError, match="^unknown gradient method: 'exact'$"):
+            gradient(lambda x: x[..., 0], np.ones(1), "exact")
+
+    def test_function_returning_a_plain_array(self):
+        # no Dual comes back: the exact Jacobian is zero, of the value's shape by n
+        J = jacobian(lambda x: np.arange(3.0), np.array([1.0, -2.0]), Exact())
+        assert J.shape == (3, 2) and not J.any()
 
 
 class TestJacobian:

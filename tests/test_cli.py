@@ -391,6 +391,31 @@ class TestSweep:
         assert "trace columns differ in length (iters 50, hsq 49)" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    def test_config_file_lists_the_mus(self, tmp_path):
+        # a file may give the penalties as a list of numbers: the outputs equal the flag's
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "toy_kkt", "mus": [0.1, 3]}))
+        outs = [tmp_path / "file", tmp_path / "flag"]
+        assert main(["sweep", "--config", str(cfg), "--out", str(outs[0]), *FAST]) == 0
+        assert main(["sweep", "--problem", "toy_kkt", "--mus", "0.1,3", "--out", str(outs[1]), *FAST]) == 0
+        assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+        assert json.loads((outs[0] / "summary.json").read_text())["mus"] == [0.1, 3.0]
+
+    def test_record_rebuilds_a_two_phase_chain(self, tmp_path):
+        # chain 1 of a pendulum sweep runs both of the recipe's phases at its mu; summary.json
+        # alone rebuilds it, and its hsq column is that mu's rows of sweep.csv
+        out = tmp_path / "sw"
+        assert main(["sweep", "--problem", "pendulum", "--mus", "0.1,1", "--iters", "50", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        mu, rec = summary["mus"][1], summary["chains"][1]
+        bundle = get_problem("pendulum")
+        phases = [dataclasses.replace(SolverConfig(**p), mu=mu) for p in summary["phases"]]
+        assert len(phases) == 2
+        (sol,) = solve_batch(bundle.nlp, bundle.guesses(1, rec["guess_seed"]), phases)
+        rows = [r for r in (out / "sweep.csv").read_text().splitlines()[1:] if r.startswith(f"{mu!r},")]
+        assert rows == [f"{mu!r},{i},{hsq!r}" for i, hsq in enumerate(sol.trace.hsq.tolist())]
+        assert len(rows) == 100
+
     def test_sweep_negative_seed(self, tmp_path, capsys):
         args = ["sweep", "--problem", "toy_kkt", "--out", str(tmp_path / "o"), "--mus", "1", "--seed", "-2"]
         assert main(args) == 1

@@ -174,6 +174,14 @@ class TestTranscribe:
                 x_init=np.zeros(3),
             )
 
+    def test_empty_horizon_rejected(self):
+        with pytest.raises(ValueError, match="^horizon K must be at least 1$"):
+            dataclasses.replace(pendulum_ocp(), K=0)
+
+    def test_negative_constraint_count_rejected(self):
+        with pytest.raises(ValueError, match="^constraint dimension must be non-negative$"):
+            NlpProblem(n=2, m=-1, cost=lambda x: ad.asum(x * x, axis=-1), constraints=lambda x: x[..., :0])
+
     def test_bound_of_the_wrong_shape_names_the_field(self):
         with pytest.raises(ValueError, match=re.escape("u_lower has shape (3,), expected (1,)")):
             dataclasses.replace(pendulum_ocp(), u_lower=np.zeros(3))
@@ -490,15 +498,17 @@ class TestStageOracles:
             assert (a.hsq, a.cost) == (b.hsq, b.cost)
 
     def test_nan_state_fails_the_same_chain_at_the_same_iteration(self, problem):
-        # one bad entry per failing chain: a NaN, -inf or 1e308 state, an inf or 1e308 control.
-        # Where the dual pass holds NaN the closed forms may hold a number, and the chain still
-        # fails at the same iteration; only the failing row's energy may read inf for nan
+        # one bad entry per failing chain: a state of +-1e308, finite but overflowing (a
+        # non-finite entry or a control outside its bounds is rejected before any step; the
+        # oracles at such inputs are covered above). Where the dual pass holds NaN the closed
+        # forms may hold a number, and the chain still fails at the same iteration; only the
+        # failing row's energy may read inf for nan
         bundle = get_problem(problem)
         dual = transcribe(dual_fallback(bundle.ocp))
         rng = np.random.default_rng(10)
         x0s = [bundle.guess(rng) for _ in range(8)]
         n_u = bundle.ocp.K * bundle.ocp.nu  # controls first, then the states
-        bad = {1: (3, np.inf), 2: (-1, np.nan), 4: (n_u - 1, 1e308), 5: (n_u + 7, -np.inf), 6: (n_u + 20, 1e308)}
+        bad = {1: (n_u + 3, -1e308), 2: (-1, 1e308), 5: (n_u + 7, -1e308), 6: (n_u + 20, 1e308)}
         for j, (i, value) in bad.items():
             x0s[j][i] = value
         phases = [dataclasses.replace(p, barrier_weight=0.0) for p in self.short_schedule(bundle)]
@@ -575,6 +585,14 @@ def test_generic_oracles_without_constraints():
     assert np.array_equal(c, [5.0, 9.25]) and np.array_equal(g, 2.0 * x)
 
 
+def test_generic_vjp_of_constant_constraints():
+    # constraints that return a plain array have a zero Jacobian
+    nlp = NlpProblem(n=2, m=1, cost=lambda x: ad.asum(x * x, axis=-1), constraints=lambda x: np.ones((3, 1)))
+    h, vjp = nlp.constraints_with_vjp(np.zeros((3, 2)))
+    assert np.array_equal(h, np.ones((3, 1)))
+    assert vjp(np.full((3, 1), 2.0)).tobytes() == np.zeros((3, 2)).tobytes()
+
+
 class TestRollout:
     def test_pendulum_equilibrium(self):
         ocp = pendulum_ocp()
@@ -589,3 +607,8 @@ class TestRollout:
         ocp = pendulum_ocp()
         with pytest.raises(ValueError):
             rollout(ocp, np.zeros((ocp.K + 1, 1)))
+
+    def test_dynamics_of_the_wrong_shape_rejected(self):
+        ocp = dataclasses.replace(pendulum_ocp(), dynamics=lambda x, u: x[:1])
+        with pytest.raises(ValueError, match=re.escape("dynamics returned shape (1,), expected (2,)")):
+            rollout(ocp, np.zeros((ocp.K, 1)))

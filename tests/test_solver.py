@@ -33,6 +33,7 @@ from langopt import (
     trajectory_guess,
 )
 from langopt import autodiff as ad
+from langopt.baselines import bfgs_penalty
 from langopt.nlp import NlpProblem, OcpDefinition, transcribe
 from langopt.problems import PENDULUM_GUESS_BOX, get_problem, pendulum_ocp, toy_kkt_problem
 from langopt.solver import _BLOCK_ROWS, _WRITE_ROWS, _Box, _Phase, _Streams, _advance
@@ -460,12 +461,14 @@ def walled_box(wall):
 def reference_advance(nlp, X, Lam, it, config, rngs, active):
     """The kernel step with bound retries run one chain at a time.
 
-    This is the straightforward form of ``_advance``: every chain draws its
-    noise even at sigma = 0 (where the noise term is left out, as the
-    kernel leaves it out), and a chain that leaves the box is retried at
-    halved steps on its own, until a step is inside, before the next one is
-    looked at, and the bound checks compare every coordinate. Returns the
-    number of normal vectors each chain drew as a fourth value.
+    This is the straightforward form of ``_advance``: every active chain
+    draws its noise even at sigma = 0 (where the noise term is left out, as
+    the kernel leaves it out) and even when its drift is not finite, a
+    chain that leaves the box is retried at halved steps on its own, until
+    a step is inside, before the next one is looked at, at any barrier
+    weight, and the bound checks compare every coordinate. Without a finite
+    bound, a chain whose finite drift steps to a non-finite point fails.
+    Returns the number of normal vectors each chain drew as a fourth value.
     """
 
     def interior(x):
@@ -486,22 +489,26 @@ def reference_advance(nlp, X, Lam, it, config, rngs, active):
         failures[int(j)] = f"non-finite drift at iteration {it}"
     ok = active & ~bad
     noise = np.zeros_like(X)
-    for j in np.nonzero(ok)[0]:
+    for j in np.nonzero(active)[0]:
         noise[j] = rngs[j].standard_normal(n)
         draws[j] += 1
     Xc = X - 0.5 * alpha * g
     if sigma > 0:
         Xc = Xc + (sigma * math.sqrt(alpha)) * noise
-    if beta > 0:
-        for j in np.nonzero(ok & ~interior(Xc))[0]:
-            scale = 1.0
-            while not interior(Xc[j : j + 1])[0]:
-                scale *= 0.5
-                draws[j] += 1
-                Xc[j] = X[j] - 0.5 * alpha * scale * g[j]
-                step_noise = rngs[j].standard_normal(n)
-                if sigma > 0:
-                    Xc[j] = Xc[j] + sigma * math.sqrt(alpha * scale) * step_noise
+    bounded = np.isfinite(nlp.lower).any() or np.isfinite(nlp.upper).any()
+    for j in np.nonzero(ok & ~interior(Xc))[0]:
+        if not bounded:
+            failures[int(j)] = f"non-finite step at iteration {it}"
+            ok[j] = False
+            continue
+        scale = 1.0
+        while not interior(Xc[j : j + 1])[0]:
+            scale *= 0.5
+            draws[j] += 1
+            Xc[j] = X[j] - 0.5 * alpha * scale * g[j]
+            step_noise = rngs[j].standard_normal(n)
+            if sigma > 0:
+                Xc[j] = Xc[j] + sigma * math.sqrt(alpha * scale) * step_noise
     Xn = np.where(ok[:, None], Xc, X)
     Lamn = np.where(ok[:, None], Lam + (alpha * mu) * h, Lam)
     return Xn, Lamn, failures, draws
@@ -901,21 +908,33 @@ class TestSolveBatch:
         with pytest.raises(BarrierDomainError, match=r"^x0s\[0\] is not strictly interior to finite bounds$"):
             solve_batch(boxed_toy(-1.0, 1.0), [np.full(2, 5.0), np.array([0.0, bad])], SolverConfig(iterations=5))
 
-    def test_non_finite_x0_with_the_barrier_off_fails_its_chain(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x0_with_the_barrier_off_rejected(self, bad):
+        # the barrier weight only weights the drift's barrier term: the input check is the same
         cfg = SolverConfig(iterations=5, barrier_weight=0.0)
-        sols = solve_batch(toy_kkt_problem(), [np.ones(2), np.array([np.nan, 0.0])], cfg)
-        assert [(s.success, s.message, len(s.trace)) for s in sols] == [
-            (True, "ok", 5),
-            (False, "non-finite drift at iteration 0", 1),
-        ]
+        with pytest.raises(BarrierDomainError, match=r"^x0s\[1\] has a non-finite entry$"):
+            solve_batch(toy_kkt_problem(), [np.ones(2), np.array([bad, 0.0])], cfg)
+
+    def test_x0_outside_the_bounds_rejected_with_the_barrier_off(self):
+        cfg = SolverConfig(iterations=5, barrier_weight=0.0)
+        nlp, outside = boxed_toy(-1.0, 1.0), np.array([0.0, 1.0])  # on a bound is not inside
+        msg = "is not strictly interior to finite bounds$"
+        with pytest.raises(BarrierDomainError, match=r"^x0s\[1\] " + msg):
+            solve_batch(nlp, [np.zeros(2), outside], cfg)
+        with pytest.raises(BarrierDomainError, match="^x0 " + msg):
+            solve(nlp, outside, config=cfg)
+        with pytest.raises(BarrierDomainError, match="^x0 " + msg):
+            bfgs_penalty(nlp, outside, cfg)
 
     def test_a_failed_chain_warns_nothing(self):
+        # walled_box's drift is NaN at x_0 = -0.5: chains 0 and 2 fail at their first drift
+        nlp = walled_box(1e4)
         cfg = SolverConfig(iterations=5, barrier_weight=0.0)
-        x0s = [np.array([np.inf, 0.0]), np.ones(2), np.array([-np.inf, np.nan])]
+        x0s = [np.array([-0.5, 0.0]), np.array([0.3, 0.2]), np.array([-0.5, 0.9])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            alone = solve_batch(toy_kkt_problem(), x0s[:1], cfg)
-            batch = solve_batch(toy_kkt_problem(), x0s, cfg)  # failed chains stay in the stack
+            alone = solve_batch(nlp, x0s[:1], cfg)
+            batch = solve_batch(nlp, x0s, cfg)  # failed chains stay in the stack
         assert [(s.success, s.message, len(s.trace)) for s in alone] == [
             (False, "non-finite drift at iteration 0", 1)
         ]
@@ -925,11 +944,55 @@ class TestSolveBatch:
             (False, "non-finite drift at iteration 0", 1),
         ]
         assert_same_solution(batch[0], alone[0])
-        assert np.array_equal(batch[2].xbar, x0s[2], equal_nan=True)
+        assert np.array_equal(batch[2].xbar, x0s[2])
+
+    @pytest.mark.parametrize("barrier_weight", [1e-3, 0.0])
+    @pytest.mark.parametrize("iterations", [45, 46])
+    def test_an_overflowing_step_fails_its_chain_at_that_step(self, barrier_weight, iterations):
+        # toy KKT has no finite bound: its diverging chain steps to a non-finite point at
+        # iteration 44 and keeps its last finite one, whatever iterations are left
+        bundle = get_problem("toy_kkt")
+        cfg = SolverConfig(iterations=iterations, alpha=1e6, barrier_weight=barrier_weight)
+        (sol,) = solve_batch(bundle.nlp, bundle.guesses(1, 0), cfg)
+        assert (sol.success, sol.message, len(sol.trace)) == (False, "non-finite step at iteration 44", 45)
+        assert np.all(np.isfinite(sol.xbar)) and np.all(sol.xbar < -8e306)
+        with pytest.raises(SolveError, match="^non-finite step at iteration 44$"):
+            solve(bundle.nlp, bundle.guesses(1, 0)[0], config=cfg)
+
+    def test_an_overflowing_step_spares_the_others(self):
+        # chain 2's gradient is a finite 1e308 at iteration 15, so its step overflows
+        nlp = toy_kkt_problem()
+        cfg = SolverConfig(iterations=40, alpha=3.7, mu=0.01, sigma0=0.5, seed=11, snapshot_stride=1)
+        x0s = [np.array([1.0, -0.5]), np.array([2.0, 0.3]), np.array([-1.5, 0.5]), np.array([0.2, 0.9])]
+        victim, it = 2, 15
+        oracle = nlp.cost_and_gradient
+
+        def poisoned(row):
+            """``nlp`` whose gradient of stack row ``row`` is 1e308 at call ``it``, one call per iteration."""
+            calls = []
+
+            def cost_and_gradient(X):
+                c, g = oracle(X)
+                if len(calls) == it:
+                    g = g.copy()
+                    g[row] = 1e308
+                calls.append(None)
+                return c, g
+
+            return dataclasses.replace(nlp, cost_and_gradient=cost_and_gradient)
+
+        sols = solve_batch(poisoned(victim), x0s, cfg)
+        for j, (x0, sol) in enumerate(zip(x0s, sols)):
+            (solo,) = solve_batch(poisoned(0) if j == victim else nlp, [x0], dataclasses.replace(cfg, seed=cfg.seed + j))
+            assert_same_solution(sol, solo)
+        assert [s.success for s in sols] == [True, True, False, True]
+        failed = sols[victim]
+        assert failed.message == f"non-finite step at iteration {it}" and len(failed.trace) == it + 1
+        assert failed.xbar.tobytes() == failed.trace.snapshots[it].tobytes()  # its last finite point
 
     def test_a_diverging_chain_warns_nothing(self):
         # the CLI's diverging gd case (--solver gd --alpha 1e6 --iters 50 --batch 2): both chains
-        # overflow to inf and NaN, and the batch returns the same Solutions with warnings as errors
+        # overflow and fail, and the batch returns the same Solutions with warnings as errors
         bundle = get_problem("toy_kkt")
         cfg = SolverConfig(alpha=1e6, iterations=50, sigma0=0.0, sigma_min=0.0, gamma=1.0)
         runs = {}
@@ -1194,28 +1257,34 @@ class TestSchedule:
         assert np.all(sol.trace.snapshot_iters <= fail_call)
         assert len(sol.trace.snapshots) == len(sol.trace.snapshot_iters)
 
-    def test_a_chain_a_barrier_free_phase_leaves_outside_fails_alone(self):
-        # phase 0 has no barrier, so it does not test x0s[1], whose first torque starts far
-        # outside [-1, 1]; phase 1 has one, and chain 1 fails when it starts
-        bundle, phases = short_schedule("pendulum")
-        phases = [dataclasses.replace(phases[0], barrier_weight=0.0), phases[1]]
-        assert phases[1].barrier_weight > 0
-        x0s = schedule_guesses(bundle, 4)
-        x0s[1][0] = 50.0
-        sols = solve_batch(bundle.nlp, x0s, phases)
-        T0 = phases[0].iterations
+    def test_a_barrier_free_phase_keeps_a_thrown_out_chain_inside(self):
+        # phase 0 has no barrier, and the wall throws chain 1 out of the box: its step is halved
+        # until it fits, as with a barrier, so every point of every chain stays inside, and the
+        # chain runs on through phase 1 and equals its solo run
+        nlp = walled_box(1e4)
+        phases = [
+            SolverConfig(sigma0=0.5, gamma=0.9, iterations=20, snapshot_stride=1, barrier_weight=0.0),
+            SolverConfig(sigma0=0.2, gamma=0.9, iterations=10, snapshot_stride=1, seed=5),
+        ]
+        x0s = [x for j, x in enumerate(TestAdvance.X0) if j != 6]  # row 6's drift is NaN
+        rngs = [np.random.default_rng(phases[0].seed + j) for j in range(len(x0s))]
+        draws = reference_advance(nlp, np.array(x0s), np.zeros((len(x0s), 1)), 0, phases[0], rngs, np.ones(len(x0s), dtype=bool))[3]
+        assert draws[1] > 1  # chain 1's first step is thrown out
+        sols = solve_batch(nlp, x0s, phases)
         for j, (sol, x0) in enumerate(zip(sols, x0s)):
-            (solo,) = solve_batch(bundle.nlp, [x0], [dataclasses.replace(p, seed=p.seed + j) for p in phases])
+            (solo,) = solve_batch(nlp, [x0], [dataclasses.replace(p, seed=p.seed + j) for p in phases])
             assert_same_solution(sol, solo)
-            assert sol.config == dataclasses.replace(phases[1], seed=phases[1].seed + j)
-        sol = sols[1]
-        assert not sol.success and [s.success for s in sols] == [True, False, True, True]
-        assert sol.message == "phase 1: not strictly interior to finite bounds at the start of the phase"
-        assert len(sol.trace) == T0 and np.all(sol.trace.snapshot_iters < T0)
-        assert not sol.xbar[0] < 1.0  # its last accepted row, left outside by phase 0
-        with pytest.raises(SolveError, match="^phase 1: not strictly interior") as exc:
-            solve(bundle.nlp, x0s[1], config=[dataclasses.replace(p, seed=p.seed + 1) for p in phases])
-        assert_same_solution(exc.value.solution, sol)
+            assert sol.success and len(sol.trace) == 30
+            assert np.all(np.abs(sol.trace.snapshots) < 1.0) and np.all(np.abs(sol.xbar) < 1.0)
+
+    def test_a_barrier_free_pendulum_phase_keeps_the_torque_limit(self):
+        # without the halved steps, both chains end this phase with a torque above 1
+        bundle = get_problem("pendulum")
+        cfg = dataclasses.replace(bundle.phases[0], iterations=200, hold=66, barrier_weight=0.0)
+        n_u = bundle.ocp.K * bundle.ocp.nu
+        for sol in solve_batch(bundle.nlp, bundle.guesses(2, 0), cfg):
+            assert sol.success
+            assert np.all(np.abs(sol.xbar[:n_u]) < 1.0) and np.all(np.abs(sol.trace.snapshots[:, :n_u]) < 1.0)
 
     def test_rejects_bad_schedules(self):
         nlp = toy_kkt_problem()
