@@ -424,9 +424,14 @@ def _drift(nlp, X, Lam, mu, beta, box):
 def drift(nlp: NlpProblem, xbar, lam, mu: float, barrier_weight: float = 0.0):
     """Drift of the decision variables: the kernel's merit gradient plus its barrier term.
 
-    With ``barrier_weight > 0``, a point on or outside a finite bound raises
-    a BarrierDomainError, as :func:`barrier_gradient` does.
+    ``barrier_weight`` must be a finite number >= 0, as in
+    :class:`SolverConfig`; anything else raises a ValueError. With
+    ``barrier_weight > 0``, a point on or outside a finite bound raises a
+    BarrierDomainError, as :func:`barrier_gradient` does.
     """
+    _check_number("barrier_weight", barrier_weight)
+    if barrier_weight < 0:
+        raise ValueError("barrier_weight must be non-negative")
     box = _Box(nlp.lower, nlp.upper)
     if barrier_weight > 0 and box.cols is not None:
         barrier_gradient(xbar[..., box.cols], box.lower, box.upper)  # for its domain test only
@@ -891,7 +896,8 @@ def solve_batch(
     the calling thread; ``threads``, an integer of at least 1, is validated
     and changes nothing.
     ``lambda0s`` lets a batch continue from previously obtained multipliers
-    (default: zeros).
+    (default: zeros); a non-finite entry raises a ValueError naming the
+    first such ``lambda0s[j]``.
     """
     _check_int("threads", threads, 1)
     x0s = list(x0s)
@@ -902,6 +908,9 @@ def solve_batch(
     X0 = _initial_points(nlp, x0s)
     box = _Box(nlp.lower, nlp.upper)
     Lam0 = np.zeros((N, nlp.m)) if lambda0s is None else _stack_entries("lambda0s", lambda0s, (N, nlp.m))
+    finite = np.isfinite(Lam0).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"lambda0s[{int(np.argmin(finite))}] has a non-finite entry")
 
     # a diverging chain is reported on its Solution, not by numpy's RuntimeWarnings; one
     # errstate for the whole batch, since entering one per iteration costs the kernel time

@@ -380,6 +380,25 @@ class TestBarrier:
             drift(nlp, x, lam, 10.0, 1e-3)
         assert drift(nlp, x, lam, 10.0, 0.0).shape == x.shape
 
+    @staticmethod
+    def pendulum_point():
+        """The pendulum's problem and a point with every bounded entry (the controls) at 0.5."""
+        nlp = get_problem("pendulum").nlp
+        return nlp, np.where(np.isfinite(nlp.lower), 0.5, 0.0), np.zeros(nlp.m)
+
+    @pytest.mark.parametrize("weight", [-1e-3, math.nan, math.inf])
+    def test_public_drift_rejects_a_bad_barrier_weight(self, weight):
+        # as SolverConfig does; the barrier-free drift is no answer for these
+        nlp, x, lam = self.pendulum_point()
+        with pytest.raises(ValueError, match="barrier_weight"):
+            drift(nlp, x, lam, 10.0, weight)
+
+    def test_public_drift_adds_the_barrier_at_a_valid_weight(self):
+        nlp, x, lam = self.pendulum_point()
+        free = drift(nlp, x, lam, 10.0, 0.0)
+        assert np.array_equal(drift(nlp, x, lam, 10.0, 1e-3), free + 1e-3 * barrier_gradient(x, nlp.lower, nlp.upper))
+        assert not np.array_equal(drift(nlp, x, lam, 10.0, 1e-3), free)
+
 
 def advance(nlp, X, Lam, it, phase, streams, active, box):
     """``_advance`` as ``_run_chains`` calls it, told whether every chain steps, recording into a scratch row."""
@@ -1024,6 +1043,13 @@ class TestSolveBatch:
             solve_batch(nlp, [np.ones(2)] * 2, SolverConfig(iterations=5), lambda0s=[0.0, [1.0]])
         with pytest.raises(ValueError, match=re.escape("lambda0s has shape (0, 1), expected (2, 1)")):
             solve_batch(nlp, [np.ones(2)] * 2, SolverConfig(iterations=5), lambda0s=[])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_lambda0s_entry_is_rejected(self, bad):
+        # rejected when the batch is built, not run as a chain that fails at iteration 0
+        nlp = toy_kkt_problem()
+        with pytest.raises(ValueError, match=re.escape("lambda0s[1] has a non-finite entry")):
+            solve_batch(nlp, [np.ones(2)] * 3, SolverConfig(iterations=5), lambda0s=[[0.0], [bad], [bad]])
 
     def test_lambda0s_continuation(self):
         nlp = toy_kkt_problem()
